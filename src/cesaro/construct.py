@@ -33,6 +33,7 @@ from .errors import (
     CertificationError,
     CoverageError,
     SchedulingError,
+    certify,
 )
 from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr
 from .kernel import KernelCache, apply_iterate, default_cache
@@ -189,17 +190,20 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
     counts = list(floors)
     for i in fractional[:deficit]:
         counts[i] += 1
-    assert sum(counts) == m
+    certify(sum(counts) == m, "multiplicities do not sum to the tuple length", m=m)
     for (coeff, _), c in zip(target.atoms, counts):
-        assert abs(coeff - Fraction(c, m)) <= Fraction(1, m)
+        certify(abs(coeff - Fraction(c, m)) <= Fraction(1, m),
+                "multiplicity strayed past 1/m from its weight", m=m, count=c)
 
     x = target.value()
     x_prime = pzero(space.dimension)
     for (_, p), c in zip(target.atoms, counts):
         x_prime = padd(x_prime, pscale(Fraction(c, m), p))
     for rho in rhos:
-        assert space.seminorm(rho, psub(x, x_prime)) < epsilon / 3
-    assert space.metric(x, x_prime) < 2 * epsilon / 3
+        certify(space.seminorm(rho, psub(x, x_prime)) < epsilon / 3,
+                "rounded target left the eps/3 seminorm ball", rho=rho)
+    certify(space.metric(x, x_prime) < 2 * epsilon / 3,
+            "rounded target left the 2eps/3 metric ball")
 
     pattern = []
     for (_, p), c in zip(target.atoms, counts):
@@ -402,7 +406,7 @@ def choose_partition(m: int, chain: CoveringChain, v1: int, space: Space) -> Par
         remainder -= lam
     v = remainder
     part = Partition(v=v, lambdas=tuple(lambdas))
-    assert part.m == m
+    certify(part.m == m, "partition does not add up to m", m=m)
     if not v > Fraction(m, 2):
         raise CertificationError("partition lost the v > m/2 guarantee")
     for i in range(1, chain.k + 1):
@@ -540,16 +544,16 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
         M_i = chain.sets[i]
         M_prev = chain.sets[i - 1]
 
-        if end <= cache.n_max and level <= cache.k_max:
-            weights = list(cache.row(level, end)[start:end])
-        else:
-            weights = cache.row_tail(level, end, start + 1, width_cap=max(lam, 4096))
+        weights = cache.row_tail(level, end, start + 1, width_cap=max(lam, 4096))
         phi_i = sum(weights, ZERO)
         gamma_i = Fraction(lam, end)
-        assert all(w < two_over_v for w in weights)
-        assert ZERO < phi_i < 1
-        assert phi_i <= 2 * gamma_i                       # tail mass upper bound
-        assert phi_i >= gamma_i**level / factorial(level)  # tail mass lower bound
+        certify(all(w < two_over_v for w in weights),
+                "segment weight reached 2/v", stage=i)
+        certify(ZERO < phi_i < 1, "block mass outside (0, 1)", stage=i)
+        certify(phi_i <= 2 * gamma_i,
+                "block mass above its upper bound 2 gamma", stage=i)
+        certify(phi_i >= gamma_i**level / factorial(level),
+                "block mass below its lower bound gamma^k/k!", stage=i)
 
         s_value = _zero_padded_value(level, seq, start, end, d)
         need = psub(x_target, s_value)
@@ -559,12 +563,14 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
                 f"stage {i}: x - S escaped conv(phi * M^{i}) + B(0, delta(eps/6))"
             )
         x_prime = psub(x_target, witness.residual)
-        assert space.metric(x_prime, x_target) < dl
+        certify(space.metric(x_prime, x_target) < dl,
+                "x' left the delta ball around the target", stage=i)
         for rho in rhos:
-            assert space.seminorm(rho, psub(x_prime, x_target)) < epsilon / 6
-            assert space.seminorm(rho, psub(x_prime, s_value)) < (
+            certify(space.seminorm(rho, psub(x_prime, x_target)) < epsilon / 6,
+                    "x' left the eps/6 seminorm ball", stage=i, rho=rho)
+            certify(space.seminorm(rho, psub(x_prime, s_value)) < (
                 2 * M_prev.norm(rho, space) + epsilon / 3
-            )
+            ), "x' - S broke the 2|M^(i-1)| + eps/3 bound", stage=i, rho=rho)
 
         atom_idx = [j for j, g in enumerate(witness.coefficients) if g > 0]
         atoms = [M_i.points[j] for j in atom_idx]
@@ -609,13 +615,15 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
                             state={"round": rnd, "atom": j, "assigned": t},
                         )
                     assign(j)
-                assert gammas[j] < quota + two_over_v
+                certify(gammas[j] < quota + two_over_v,
+                        "round overshot its quota by 2/v", stage=i, round=rnd, atom=j)
             round_gammas.append(tuple(gammas))
         for j in range(mu):  # final round fills from below, never past the target
             goal = g[j] * phi_i
             while t < lam and gammas[j] + weights[t] <= goal:
                 assign(j)
-            assert goal - gammas[j] < two_over_v
+            certify(goal - gammas[j] < two_over_v,
+                    "final round left a gap of 2/v", stage=i, atom=j)
         while t < lam:  # distribute leftovers by largest deficit
             deficits = [g[j] * phi_i - gammas[j] for j in range(mu)]
             j = max(range(mu), key=lambda jj: (deficits[jj], -jj))
@@ -627,7 +635,8 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
             assign(j)
         round_gammas.append(tuple(gammas))
 
-        assert sum(gammas, ZERO) == phi_i
+        certify(sum(gammas, ZERO) == phi_i,
+                "assigned weights do not sum to the block mass", stage=i)
         residuals = tuple(gammas[j] - g[j] * phi_i for j in range(mu))
         if not all(abs(r) < two_over_v for r in residuals):
             raise CertificationError(f"stage {i}: final coefficients drifted past 2/v")
@@ -933,11 +942,7 @@ def unit_interval_check(values, n: int, cache: KernelCache | None = None) -> dic
         return report
     t2 = iterate_at(2, seq, n)[0]
     small = sum(1 for x in vals[:n] if x < Fraction(1, 4))
-    if n <= cache.n_max and 2 <= cache.k_max:
-        row = cache.row(2, n)
-        tail = sum(row[n // 2:], ZERO)
-    else:
-        tail = sum(cache.row_tail(2, n, n // 2 + 1), ZERO)
+    tail = sum(cache.row_tail(2, n, n // 2 + 1), ZERO)
     report.update({
         "t2": fracstr(t2),
         "small_count": small,

@@ -5,6 +5,13 @@ class CesaroError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def _with_details(message, details):
+    if not details:
+        return message
+    extra = ", ".join(f"{k}={v}" for k, v in sorted(details.items()))
+    return f"{message} ({extra})"
+
+
 class BudgetExceededError(CesaroError):
     """A configured resource budget (kernel cache, term cap, iteration cap) was hit.
 
@@ -17,10 +24,7 @@ class BudgetExceededError(CesaroError):
     def __init__(self, kind, message, **details):
         self.kind = kind
         self.details = details
-        if details:
-            extra = ", ".join(f"{k}={v}" for k, v in sorted(details.items()))
-            message = f"{message} ({extra})"
-        super().__init__(message)
+        super().__init__(_with_details(message, details))
 
 
 class CoverageError(CesaroError):
@@ -38,6 +42,16 @@ class CertificationError(CesaroError):
 
     This always indicates an implementation bug, never bad input.
     """
+
+
+def certify(cond, msg, **details) -> None:
+    """Raise ``CertificationError`` unless ``cond`` holds.
+
+    Unlike ``assert``, this is not stripped by ``python -O``.  ``details``
+    are formatted into the message only when the check fails.
+    """
+    if not cond:
+        raise CertificationError(_with_details(msg, details))
 
 
 class SchedulingError(CesaroError):

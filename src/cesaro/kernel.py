@@ -2,13 +2,28 @@
 
 T maps a sequence to its running arithmetic means; T^k is the k-fold
 composition.  T^k is represented by a lower-triangular matrix whose row n
-holds the weights that average the first n sequence terms.  Entries are
-computed by the column-sum recurrence
+holds the weights that average the first n sequence terms.  There are two
+ways to compute entries, each suited to one access pattern:
 
-    T^k_(n,m) = (1/n) * sum_{i=m}^{n} T^(k-1)_(i,m)
+* Whole rows (``row``, ``entry``, ``apply_iterate``, the audits) come from
+  a memo triangle built by the column-sum recurrence
 
-which costs O(1) amortized per entry with the per-column accumulators kept
-by the cache.  Everything is an exact ``Fraction``.
+      T^k_(n,m) = (1/n) * sum_{i=m}^{n} T^(k-1)_(i,m)
+
+  which costs O(1) amortized per entry with the per-column accumulators kept
+  by the cache, bounded by the cache budget.
+
+* Segments of one row (``row_tail``, which the constructions use) come from
+  the closed form
+
+      T^k_(n,m) = h_(k-1)(1/m, ..., 1/n) / n
+
+  where h_j is the complete homogeneous symmetric polynomial (Hardy,
+  *Divergent Series*, section 5).  A downward sweep over m yields any
+  segment in O(width * k) operations and O(width) memory, with no earlier
+  rows and no cache.
+
+Everything is an exact ``Fraction``.
 
 Concurrency: rows are published as immutable tuples.  A single lock guards
 extension of the table; readers never need it once a row is visible.
@@ -18,7 +33,7 @@ import os
 import threading
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, certify
 from .exact import ZERO
 
 DEFAULT_K_MAX = 6
@@ -107,31 +122,31 @@ class KernelCache:
     def row_tail(self, k: int, n: int, m_from: int, width_cap: int = 4096) -> list[Fraction]:
         """Entries T^k_(n,m) for m = m_from..n, computed without the cache.
 
-        The recurrence for columns >= m_from only ever touches rows in
-        [m_from, n], so a local triangle suffices; this is how constructions
-        reach row indices far beyond the cache budget.
+        Sweeps m down from n, updating h_j += h_(j-1)/m for j = 1..k-1, so
+        that after step m the list holds h_j(1/m, ..., 1/n) and h_(k-1)/n is
+        the entry at column m.  Reaches row indices far beyond the cache
+        budget.  ``width_cap`` bounds the accepted segment width
+        n - m_from + 1 as an input check; wider requests raise
+        ``BudgetExceededError``.
         """
-        if not (1 <= m_from <= n):
-            raise ValueError("need 1 <= m_from <= n")
+        if k < 1 or not (1 <= m_from <= n):
+            raise ValueError("need k >= 1 and 1 <= m_from <= n")
         width = n - m_from + 1
         if width > width_cap:
             raise BudgetExceededError(
                 "row_tail", "tail width exceeds cap",
                 n=n, m_from=m_from, width=width, width_cap=width_cap,
             )
-        tri = [[Fraction(1, i)] * (i - m_from + 1) for i in range(m_from, n + 1)]
-        for _level in range(2, k + 1):
-            cols = [ZERO] * width
-            nxt = []
-            for idx in range(width):
-                i = m_from + idx
-                row = []
-                for j in range(idx + 1):
-                    cols[j] += tri[idx][j]
-                    row.append(cols[j] / i)
-                nxt.append(row)
-            tri = nxt
-        return tri[-1]
+        if k == 1:
+            return [Fraction(1, n)] * width
+        h = [Fraction(1)] + [ZERO] * (k - 1)
+        out = []
+        for m in range(n, m_from - 1, -1):
+            for j in range(1, k):
+                h[j] += h[j - 1] / m
+            out.append(h[-1] / n)
+        out.reverse()
+        return out
 
 
 _default_cache: KernelCache | None = None
@@ -202,12 +217,7 @@ def phi(v: int, lambdas, i: int, cache: KernelCache | None = None) -> Fraction:
     cache = cache or default_cache()
     end = v + sum(lambdas[:i])
     start = end - lambdas[i - 1]
-    level = k + 1 - i
-    if end <= cache.n_max and level <= cache.k_max:
-        row = cache.row(level, end)
-        return sum(row[start:end], ZERO)
-    tail = cache.row_tail(level, end, start + 1)
-    return sum(tail, ZERO)
+    return sum(cache.row_tail(k + 1 - i, end, start + 1), ZERO)
 
 
 class CheckResult:
@@ -276,6 +286,6 @@ def convexity_expansion(k: int, n: int, a: int) -> dict:
         return out
 
     weights = expand(k, a)
-    assert all(w >= 0 for w in weights.values())
-    assert sum(weights.values()) == 1
+    certify(all(w >= 0 for w in weights.values()), "expansion has a negative weight")
+    certify(sum(weights.values()) == 1, "expansion weights do not sum to 1")
     return weights

@@ -33,10 +33,6 @@ class RunSeq:
             self.runs.append([p, count])
         self.length += count
 
-    def extend(self, points) -> None:
-        for p in points:
-            self.append(p)
-
     def __len__(self) -> int:
         return self.length
 

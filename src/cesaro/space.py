@@ -36,10 +36,6 @@ def pscale(c, a: Point) -> Point:
     return tuple(c * x for x in a)
 
 
-def pneg(a: Point) -> Point:
-    return tuple(-x for x in a)
-
-
 def n_epsilon(epsilon) -> int:
     """Count of epsilon-important seminorms: smallest N with 2^-(N-1) < epsilon."""
     epsilon = frac(epsilon)

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro import (
     BudgetExceededError,
@@ -175,11 +177,43 @@ def test_budget_errors():
 
 
 def test_row_tail_matches_rows(cache):
-    for k in (1, 2, 3, 4):
-        for n in (5, 17, 40):
+    for k in range(1, 7):
+        for n in (1, 5, 17, 40, 150, 400):
             for m_from in (1, n // 2 + 1, n):
                 tail = cache.row_tail(k, n, m_from)
                 assert tail == list(cache.row(k, n)[m_from - 1:])
+
+
+def test_row_tail_rejects_bad_indices(cache):
+    for k, n, m_from in ((0, 3, 1), (-2, 3, 2), (2, 3, 0), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            cache.row_tail(k, n, m_from)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 250), st.data())
+def test_row_tail_matches_rows_hypothesis(cache, k, n, data):
+    m_from = data.draw(st.integers(1, n))
+    assert cache.row_tail(k, n, m_from) == list(cache.row(k, n)[m_from - 1:])
+
+
+def test_row_tail_wide_segment():
+    # far beyond the cache budget: checked against literal repeated averaging
+    n = 2000
+    tail = KernelCache().row_tail(3, n, 1)
+    assert len(tail) == n
+    assert sum(tail) == 1
+    for m in (1, 777, n):
+        impulse = [(Fraction(0),)] * n
+        impulse[m - 1] = (Fraction(1),)
+        assert apply_iterate_oracle(3, impulse, n) == (tail[m - 1],)
+
+
+def test_phi_independent_of_cache_budget(cache):
+    tiny = KernelCache(k_max=1, n_max=1)
+    for v, lambdas in ((2, [2]), (30, [4, 3, 2]), (300, [40, 25]), (500, [60, 9, 4])):
+        for i in range(1, len(lambdas) + 1):
+            assert phi(v, lambdas, i, tiny) == phi(v, lambdas, i, cache)
 
 
 def test_cache_concurrent_readers():
