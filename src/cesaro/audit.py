@@ -310,29 +310,29 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     if checkpoints is None:
         step = max(1, total // 10)
         checkpoints = sorted(set(list(range(step, total + 1, step)) + [total]))
-    marks = sorted(set(int(c) for c in checkpoints if 1 <= int(c) <= total))
-    rows = []
-    for k in ks:
-        walker = IterateWalker(k, space.dimension)
-        best = {t: (None, None) for t in range(len(targets))}
-        mark_iter = iter(marks)
-        mark = next(mark_iter, None)
-        for p in seq.iter_points():
-            walker.push(p)
+    marks = set(int(c) for c in checkpoints if 1 <= int(c) <= total)
+    if min(ks, default=1) < 1:
+        raise ValueError("need k >= 1")
+    # one walker holds every requested level; rows stay grouped by entry of ks
+    walker = IterateWalker(max(ks, default=1), space.dimension)
+    best = [[(None, None)] * len(targets) for _ in ks]
+    rows = [[] for _ in ks]
+    for p in seq.iter_points():
+        walker.push(p)
+        for pos, k in enumerate(ks):
             value = walker.value(k)
             for t, target in enumerate(targets):
                 dist = space.metric(value, target)
-                if best[t][0] is None or dist < best[t][0]:
-                    best[t] = (dist, walker.j)
-            if walker.j == mark:
+                if best[pos][t][0] is None or dist < best[pos][t][0]:
+                    best[pos][t] = (dist, walker.j)
+            if walker.j in marks:
                 for t in range(len(targets)):
-                    rows.append({
+                    rows[pos].append({
                         "length": walker.j, "k": k, "target_id": t,
-                        "min_metric": fracstr(best[t][0]),
-                        "at_index": best[t][1],
+                        "min_metric": fracstr(best[pos][t][0]),
+                        "at_index": best[pos][t][1],
                     })
-                mark = next(mark_iter, None)
-    return rows
+    return [row for group in rows for row in group]
 
 
 SUITES = {

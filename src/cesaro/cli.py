@@ -106,8 +106,6 @@ def growth_from_config(raw) -> callable:
         return lambda n: value
     if kind == "linear":
         return lambda n: n
-    if kind == "tower":  # n ** n^3; representable, astronomically long blocks
-        return lambda n: n ** (n**3)
     raise ValueError(f"unknown growth kind {kind!r}")
 
 
@@ -172,14 +170,16 @@ def cmd_audit(args) -> int:
 
 def _trajectory_rows(trace: dict, space: Space):
     from .construct import seq_from_trace
-    from .sequences import iterate_at
+    from .sequences import IterateWalker
 
     seq = seq_from_trace(trace)
     n = trace["final_index"]
     targets = [_point_cfg(t) for t in trace["targets"]]
+    walker = IterateWalker(max(trace["ks"]), seq.dimension)
+    walker.push_seq(seq, n)
     rows = []
     for idx, k in enumerate(trace["ks"]):
-        value = iterate_at(k, seq, n)
+        value = walker.value(k)
         target = targets[idx]
         dist = space.metric(value, target)
         row = {"n": n, "k": k}
@@ -228,6 +228,8 @@ def cmd_construct(args) -> int:
 
     if args.mode == "thm42":
         targets = [_point_cfg(t) for t in cfg["targets"]]
+        if "k" in cfg and int(cfg["k"]) != len(targets):
+            raise ValueError(f"config k={cfg['k']} but {len(targets)} targets are given")
         epsilon = frac(cfg["epsilon"])
         result = simultaneous_construct(
             [], targets, epsilon, index_set, space, ground, cache, term_cap

@@ -230,7 +230,7 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
         if space.metric(walker.value(k), x_prime) < threshold:
             n0 = walker.j
 
-    endpoint = iterate_at(k, seq, n0)
+    endpoint = walker.value(k)
     dist_xprime = space.metric(endpoint, x_prime)
     dist_x = space.metric(endpoint, x)
     if not dist_x < epsilon:
@@ -462,43 +462,6 @@ class StageRecord:
         }
 
 
-def _zero_padded_value(level: int, seq: RunSeq, upto: int, end: int, d: int) -> Point:
-    """[T^level]_end of the sequence whose terms past `upto` are zero."""
-    walker = IterateWalker(level, d)
-    remaining = upto
-    for p, c in seq.runs:
-        step = min(c, remaining)
-        walker.push_run(p, step)
-        remaining -= step
-        if remaining == 0:
-            break
-    walker.push_run(pzero(d), end - upto)
-    return walker.value(level)
-
-
-def _block_values(level: int, seq: RunSeq, start: int, end: int, d: int):
-    """Yield (index, [T^level]_index) for index = start+1 .. end."""
-    walker = IterateWalker(level, d)
-    pushed = 0
-    for p, c in seq.runs:
-        if pushed + c <= start:
-            walker.push_run(p, c)
-            pushed += c
-            continue
-        head = max(0, start - pushed)
-        if head:
-            walker.push_run(p, head)
-            pushed += head
-        for _ in range(c - head):
-            if pushed == end:
-                return
-            walker.push(p)
-            pushed += 1
-            yield pushed, walker.value(level)
-        if pushed == end:
-            return
-
-
 def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
                        targets, epsilon, space: Space,
                        cache: KernelCache | None = None):
@@ -544,7 +507,7 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
         M_i = chain.sets[i]
         M_prev = chain.sets[i - 1]
 
-        weights = cache.row_tail(level, end, start + 1, width_cap=max(lam, 4096))
+        weights = cache.row_tail(level, end, start + 1)
         phi_i = sum(weights, ZERO)
         gamma_i = Fraction(lam, end)
         certify(all(w < two_over_v for w in weights),
@@ -555,7 +518,9 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
         certify(phi_i >= gamma_i**level / factorial(level),
                 "block mass below its lower bound gamma^k/k!", stage=i)
 
-        s_value = _zero_padded_value(level, seq, start, end, d)
+        padded = walker.copy()  # the walker sits at index start
+        padded.push_run(pzero(d), lam)
+        s_value = padded.value(level)
         need = psub(x_target, s_value)
         witness = hull_contains(M_i.scaled(phi_i), need, dl, space)
         if witness is None:
@@ -641,11 +606,18 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
         if not all(abs(r) < two_over_v for r in residuals):
             raise CertificationError(f"stage {i}: final coefficients drifted past 2/v")
 
+        # append the block term by term; the walker ends at the block's end
+        block_max = {rho: ZERO for rho in rhos}
         for aj, count in assignment:
             seq.append(atoms[aj], count)
+            for _ in range(count):
+                walker.push(atoms[aj])
+                value = walker.value(level)
+                for rho in rhos:
+                    block_max[rho] = max(block_max[rho], space.seminorm(rho, value))
 
         # postcondition (a): endpoint lands within eps/3 per important seminorm
-        endpoint = iterate_at(level, seq, end)
+        endpoint = walker.value(level)
         recon = s_value
         for j in range(mu):
             recon = padd(recon, pscale(gammas[j], atoms[j]))
@@ -656,12 +628,6 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
                 raise CertificationError(f"stage {i}: endpoint missed target at seminorm {rho}")
 
         # postcondition (b): every in-block iterate stays below 5|M^(i-1)|_rho + 1
-        block_max = {rho: ZERO for rho in rhos}
-        for _, value in _block_values(level, seq, start, end, d):
-            for rho in rhos:
-                nv = space.seminorm(rho, value)
-                if nv > block_max[rho]:
-                    block_max[rho] = nv
         for rho in rhos:
             if not block_max[rho] <= 5 * M_prev.norm(rho, space) + 1:
                 raise CertificationError(f"stage {i}: in-block bound failed at seminorm {rho}")
@@ -838,9 +804,11 @@ def simultaneous_construct(prefix, targets, epsilon, index_set: IndexSet,
     n = len(seq)
     if n != m or not index_set.contains(n):
         raise CertificationError("final index left the admissible set")
+    walker = IterateWalker(k, space.dimension)
+    walker.push_seq(seq)
     distances = []
     for i in range(1, k + 1):
-        value = iterate_at(i, seq, n)
+        value = walker.value(i)
         dist = space.metric(value, targets[i - 1])
         if not dist < epsilon:
             raise CertificationError(f"final metric distance for level {i} not below epsilon")
@@ -976,8 +944,10 @@ def replay_trace(trace: dict, space: Space, cache: KernelCache | None = None) ->
     n = trace["final_index"]
     out = {"final_index": n, "matches": True, "distances": []}
     targets = [_point_from_json(x) for x in trace["targets"]]
+    walker = IterateWalker(max(trace["ks"]), seq.dimension)
+    walker.push_seq(seq, n)
     for idx, k in enumerate(trace["ks"]):
-        value = iterate_at(k, seq, n)
+        value = walker.value(k)
         if n <= cache.n_max and k <= cache.k_max:
             direct = apply_iterate(k, list(seq.iter_points()), n, cache)
             if direct != value:

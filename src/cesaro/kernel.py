@@ -119,26 +119,18 @@ class KernelCache:
             return ZERO
         return self.row(k, n)[m - 1]
 
-    def row_tail(self, k: int, n: int, m_from: int, width_cap: int = 4096) -> list[Fraction]:
+    def row_tail(self, k: int, n: int, m_from: int) -> list[Fraction]:
         """Entries T^k_(n,m) for m = m_from..n, computed without the cache.
 
         Sweeps m down from n, updating h_j += h_(j-1)/m for j = 1..k-1, so
         that after step m the list holds h_j(1/m, ..., 1/n) and h_(k-1)/n is
         the entry at column m.  Reaches row indices far beyond the cache
-        budget.  ``width_cap`` bounds the accepted segment width
-        n - m_from + 1 as an input check; wider requests raise
-        ``BudgetExceededError``.
+        budget.
         """
         if k < 1 or not (1 <= m_from <= n):
             raise ValueError("need k >= 1 and 1 <= m_from <= n")
-        width = n - m_from + 1
-        if width > width_cap:
-            raise BudgetExceededError(
-                "row_tail", "tail width exceeds cap",
-                n=n, m_from=m_from, width=width, width_cap=width_cap,
-            )
         if k == 1:
-            return [Fraction(1, n)] * width
+            return [Fraction(1, n)] * (n - m_from + 1)
         h = [Fraction(1)] + [ZERO] * (k - 1)
         out = []
         for m in range(n, m_from - 1, -1):

@@ -1,9 +1,15 @@
 """Run-length sequences over the ground set and streaming iterate evaluation.
 
 Constructions routinely pad with one repeated element for hundreds of
-thousands of indices; runs keep that cheap.  Iterate values are computed by
-the running-averages recurrence, one exact rational step per index and level,
-except that a pure level-1 walker can absorb a whole run at once.
+thousands of indices; runs keep that cheap.  Iterate values come from one
+object, ``IterateWalker``: a level-k walker holds [T^c]_j for every c <= k
+at its cursor j, so one walk serves every level.  It advances by the
+running-averages recurrence, one exact rational step per index and level,
+except that a pure level-1 walker absorbs a whole run at once.
+``IterateWalker.push_seq`` is the one loop that walks a sequence's runs up
+to an index; ``iterate_at`` and the constructions all go through it, and
+``copy`` branches a walker (for instance to pad it with zeros) without
+walking the prefix again.
 """
 
 from fractions import Fraction
@@ -55,11 +61,15 @@ class RunSeq:
     def copy(self) -> "RunSeq":
         return RunSeq((p, c) for p, c in self.runs)
 
-    def prefix_sum(self) -> Point:
-        """Sum of all terms (vector)."""
+    @property
+    def dimension(self) -> int:
         if not self.runs:
             raise ValueError("empty sequence has no dimension")
-        acc = pzero(len(self.runs[0][0]))
+        return len(self.runs[0][0])
+
+    def prefix_sum(self) -> Point:
+        """Sum of all terms (vector)."""
+        acc = pzero(self.dimension)
         for p, c in self.runs:
             acc = padd(acc, pscale(c, p))
         return acc
@@ -102,9 +112,30 @@ class IterateWalker:
         for _ in range(count):
             self.push(p)
 
-    def push_seq(self, seq: RunSeq) -> None:
+    def push_seq(self, seq: RunSeq, upto: int | None = None) -> None:
+        """Push terms j+1..upto of seq (default: to its end) from the cursor j.
+
+        The walker must already hold terms 1..j of seq; whole runs go
+        through ``push_run``.
+        """
+        upto = len(seq) if upto is None else upto
+        if not (self.j <= upto <= len(seq)):
+            raise ValueError(f"index {upto} outside {self.j}..{len(seq)}")
+        seen = 0
         for p, c in seq.runs:
-            self.push_run(p, c)
+            seen += c
+            step = min(seen, upto) - self.j
+            if step > 0:
+                self.push_run(p, step)
+            if seen >= upto:
+                break
+
+    def copy(self) -> "IterateWalker":
+        twin = IterateWalker(self.k, self.d)
+        twin.j = self.j
+        twin.sums = list(self.sums)
+        twin.values = list(self.values)
+        return twin
 
     def value(self, level: int) -> Point:
         """[T^level(theta)]_j at the current cursor."""
@@ -119,12 +150,6 @@ def iterate_at(k: int, seq: RunSeq, n: int) -> Point:
     """[T^k(theta)]_n for a run-length sequence (exact)."""
     if not (1 <= n <= len(seq)):
         raise ValueError(f"index {n} outside sequence of length {len(seq)}")
-    walker = IterateWalker(k, len(seq.runs[0][0]))
-    remaining = n
-    for p, c in seq.runs:
-        step = min(c, remaining)
-        walker.push_run(p, step)
-        remaining -= step
-        if remaining == 0:
-            break
+    walker = IterateWalker(k, seq.dimension)
+    walker.push_seq(seq, n)
     return walker.value(k)

@@ -104,3 +104,14 @@ def test_density_running_min_nonincreasing():
             series = [frac(r["min_metric"]) for r in rows
                       if r["k"] == k and r["target_id"] == t]
             assert all(a >= b for a, b in zip(series, series[1:]))
+
+
+def test_density_levels_share_one_walk():
+    # rows follow the order of ks, repeated levels included
+    sp = Space(1)
+    enum = [point(F(j, 10)) for j in range(6)]
+    seq = take_prefix(dense_example(enum, lambda n: 3**n), 150)
+    targets, marks = enum[:3], [40, 90, 150]
+    rows = audit_density(seq, targets, [2, 1, 2], sp, checkpoints=marks)
+    singles = [audit_density(seq, targets, [k], sp, checkpoints=marks) for k in (2, 1, 2)]
+    assert rows == singles[0] + singles[1] + singles[2]

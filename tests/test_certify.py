@@ -42,3 +42,50 @@ def test_certify_survives_optimize_flag():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "optimize: 1\nraised: stripped?\n"
+
+
+# k=1 simultaneous construction (configs/simultaneous.json) and the v=300
+# two-level block assignment, serialized; run with and without -O
+_CONSTRUCTIONS = """
+import json, sys
+from fractions import Fraction as F
+from cesaro import KernelCache, phi
+from cesaro.construct import (CoveringChain, Partition, assign_block_terms,
+                              simultaneous_construct)
+from cesaro.sequences import RunSeq
+from cesaro.space import FinitePointSet, GroundSet, IndexSet, Space, cube_corners, delta
+
+line, lattice = Space(1), GroundSet.lattice(1)
+res = simultaneous_construct([], [(F(7, 2),)], F(1, 4), IndexSet("all"), line, lattice,
+                             KernelCache(6, 400))
+eps, v, lambdas = F(3, 10), 300, (60, 40)
+x1, x2 = (F(1, 4),), (F(1, 8),)
+cache = KernelCache()
+slack = delta(eps / 6)
+part = Partition(v=v, lambdas=lambdas)
+m0 = FinitePointSet(((F(-1),), (F(1),)), corner_radius=F(1))
+m1 = cube_corners(lattice, (x2[0] + slack) / phi(v, lambdas, 1, cache) + 1, line).union(m0)
+worst = F(lambdas[0], part.m) * m1.corner_radius
+r2 = (x1[0] + worst + slack) / phi(v, lambdas, 2, cache) + 1
+chain = CoveringChain(sets=(m0, m1, cube_corners(lattice, r2, line).union(m1)),
+                      intervals=((F(1, 100), F(2, 100)), (F(1, 250), F(2, 250))),
+                      epsilon=eps, k=2)
+stages, seq = assign_block_terms(RunSeq([((F(0),), v)]), chain, part, [x1, x2], eps,
+                                 line, cache)
+print(sys.flags.optimize)
+print(json.dumps({"thm42": res.trace, "stages": [s.to_json() for s in stages],
+                  "runs": [[str(p[0]), c] for p, c in seq.runs]}, sort_keys=True))
+"""
+
+
+def test_constructions_identical_under_optimize_flag():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    outs = [subprocess.run([sys.executable, *flags, "-c", _CONSTRUCTIONS], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for flags in ([], ["-O"])]
+    for out in outs:
+        assert out.returncode == 0, out.stderr
+    (flag_plain, json_plain), (flag_opt, json_opt) = (o.stdout.split("\n", 1) for o in outs)
+    assert (flag_plain, flag_opt) == ("0", "1")
+    assert json_opt == json_plain
+    assert '"kind": "thm42"' in json_plain

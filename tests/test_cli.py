@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cesaro.cli import main
+from cesaro.cli import growth_from_config, main
 
 THM42_CFG = {
     "schema": 1,
@@ -183,6 +183,37 @@ def test_construct_dense(tmp_path, capsys):
     assert payload["table"]
     captured = capsys.readouterr()
     assert "empirical audit" in captured.out
+
+
+@pytest.mark.parametrize("growth, code", [
+    ({"kind": "power", "base": 2}, 0),
+    ({"kind": "linear"}, 0),
+    ({"kind": "constant", "value": 3}, 0),
+    ({"kind": "tower"}, 1),
+    ({"kind": "exponential"}, 1),
+])
+def test_dense_growth_kinds(tmp_path, growth, code):
+    if code:
+        with pytest.raises(ValueError):
+            growth_from_config(growth)
+    else:
+        assert growth_from_config(growth)(3) >= 1
+    cfg = write_cfg(tmp_path, {
+        "schema": 1,
+        "space": {"dimension": 1},
+        "dense": {"enumeration": [["0"], ["1"], ["-1"]], "growth": growth,
+                  "terms": 20, "ks": [1]},
+    })
+    assert main(["construct", "--mode", "dense", "--config", cfg,
+                 "--out-dir", str(tmp_path / "run")]) == code
+
+
+def test_thm42_k_must_match_targets(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**THM42_CFG, "k": 2})
+    assert main(["construct", "--mode", "thm42", "--config", cfg,
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    assert "k=2" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "trace.json").exists()
 
 
 def test_bad_config_schema(tmp_path):
