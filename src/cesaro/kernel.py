@@ -156,7 +156,7 @@ def default_cache() -> KernelCache:
 
 
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def _vscale(c, a):

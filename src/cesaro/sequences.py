@@ -3,18 +3,19 @@
 Constructions routinely pad with one repeated element for hundreds of
 thousands of indices; runs keep that cheap.  Iterate values come from one
 object, ``IterateWalker``: a level-k walker holds [T^c]_j for every c <= k
-at its cursor j, so one walk serves every level.  It advances by the
-running-averages recurrence, one exact rational step per index and level,
-except that a pure level-1 walker absorbs a whole run at once.
-``IterateWalker.push_seq`` is the one loop that walks a sequence's runs up
-to an index; ``iterate_at`` and the constructions all go through it, and
-``copy`` branches a walker (for instance to pad it with zeros) without
-walking the prefix again.
+at its cursor j, so one walk serves every level.  ``push`` advances one
+index by the running-averages recurrence; ``push_run`` absorbs a whole run
+of one point at every level in one closed-form update, whose weights are
+the complete homogeneous symmetric polynomials of 1/(a+1), ..., 1/b
+computed by binary splitting.  ``IterateWalker.push_seq`` is the one loop
+that walks a sequence's runs up to an index; ``iterate_at`` and the
+constructions all go through it, and ``copy`` branches a walker (for
+instance to pad it with zeros) without walking the prefix again.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .exact import ZERO
 from .space import Point, padd, pscale, pzero
 
 
@@ -33,6 +34,8 @@ class RunSeq:
         if count == 0:
             return
         p = tuple(p)
+        if self.runs and len(p) != self.dimension:
+            raise ValueError(f"point has dimension {len(p)}, sequence has {self.dimension}")
         if self.runs and self.runs[-1][0] == p:
             self.runs[-1][1] += count
         else:
@@ -75,11 +78,47 @@ class RunSeq:
         return acc
 
 
+# Index ranges up to this length are multiplied out term by term; longer ones
+# are split in half, so the big products pair operands of equal size.
+_LEAF = 32
+
+
+def _falling_product(lo: int, hi: int, m: int) -> list:
+    """Integer coefficients of prod_{j=lo..hi} (j - x) mod x^m."""
+    if hi - lo < _LEAF:
+        poly = [1] + [0] * (m - 1)
+        for j in range(lo, hi + 1):
+            for i in range(m - 1, 0, -1):
+                poly[i] = j * poly[i] - poly[i - 1]
+            poly[0] *= j
+        return poly
+    mid = (lo + hi) // 2
+    left = _falling_product(lo, mid, m)
+    right = _falling_product(mid + 1, hi, m)
+    return [sum(left[t] * right[i - t] for t in range(i + 1)) for i in range(m)]
+
+
+def _run_weights(a: int, b: int, m: int) -> tuple:
+    """h_i(1/(a+1), ..., 1/b) for i < m as integers (H, q): h_i = H[i] / q^i.
+
+    h_i is the x^i coefficient of Q(0)/Q(x) with Q(x) = prod_{j=a+1..b} (j - x),
+    so one series inversion of Q mod x^m gives them all, with q = Q(0).
+    """
+    if m == 1:  # h_0 = 1 needs no product
+        return [1], 1
+    poly = _falling_product(a + 1, b, m)
+    q = poly[0]
+    weights = [1]
+    for i in range(1, m):
+        weights.append(-sum(poly[t] * q ** (t - 1) * weights[i - t] for t in range(1, i + 1)))
+    return weights, q
+
+
 class IterateWalker:
     """Streams a sequence and maintains [T^c(theta)]_j for c = 1..k at the cursor j.
 
-    Level 1 is just a vector prefix sum, so runs of a repeated point advance
-    in O(1) when k == 1; higher levels must visit every index.
+    ``push`` takes one index; ``push_run`` absorbs a run of any length at
+    every level in one closed-form update.
     """
 
     def __init__(self, k: int, dimension: int):
@@ -92,25 +131,54 @@ class IterateWalker:
         self.values = [pzero(dimension) for _ in range(k)]
 
     def push(self, p: Point) -> None:
-        self.j += 1
+        weight = Fraction(1, self.j + 1)
         acc = p
         for c in range(self.k):
             self.sums[c] = padd(self.sums[c], acc)
-            acc = pscale(Fraction(1, self.j), self.sums[c])
+            acc = pscale(weight, self.sums[c])
             self.values[c] = acc
+        self.j += 1
 
     def push_run(self, p: Point, count: int) -> None:
+        """Push ``count`` copies of p, equal to ``count`` calls of ``push(p)``.
+
+        Over the run from cursor a to b = a + count, u_c = [T^c]_j - p obeys
+        j*u_c(j) = (j-1)*u_c(j-1) + u_(c-1)(j) with u_0 = 0, hence
+        u_c(b) = (a/b) * sum_(i<c) h_i(1/(a+1), ..., 1/b) * u_(c-i)(a).
+        Each coordinate and level is normalized once, at the end.
+        """
         if count < 0:
             raise ValueError("run count must be nonnegative")
-        if self.k == 1:
-            if count == 0:
-                return
-            self.sums[0] = padd(self.sums[0], pscale(count, p))
-            self.j += count
-            self.values[0] = pscale(Fraction(1, self.j), self.sums[0])
+        if len(p) != self.d:
+            raise ValueError(f"point has dimension {len(p)}, walker has {self.d}")
+        if count == 0:
             return
-        for _ in range(count):
-            self.push(p)
+        p = tuple(p)
+        a, b = self.j, self.j + count
+        self.j = b
+        if a == 0:
+            self.values = [p] * self.k
+            self.sums = [pscale(b, p)] * self.k
+            return
+        weights, q = _run_weights(a, b, self.k)
+        q_pow = [q ** c for c in range(self.k)]
+        columns = []
+        for x, *levels in zip(p, *self.values):
+            pn, pd = x.numerator, x.denominator
+            # u_s(a) = offsets[s] / (dens[s] * pd)
+            offsets = [v.numerator * pd - pn * v.denominator for v in levels]
+            dens = [v.denominator for v in levels]
+            column = []
+            common = 1
+            for c in range(self.k):
+                common = lcm(common, dens[c])
+                total = sum(weights[i] * q_pow[c - i] * offsets[c - i] * (common // dens[c - i])
+                            for i in range(c + 1))
+                scale = b * q_pow[c] * common
+                column.append(Fraction(pn * scale + a * total, pd * scale))
+            columns.append(column)
+        self.values = [tuple(col[c] for col in columns) for c in range(self.k)]
+        self.sums = [pscale(b, v) for v in self.values]
 
     def push_seq(self, seq: RunSeq, upto: int | None = None) -> None:
         """Push terms j+1..upto of seq (default: to its end) from the cursor j.

@@ -24,11 +24,11 @@ def pzero(d: int) -> Point:
 
 
 def padd(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def psub(a: Point, b: Point) -> Point:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def pscale(c, a: Point) -> Point:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,9 +228,10 @@ def test_missing_config_file():
 
 
 def test_console_script_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "cesaro.cli", "kernel", "--k", "1", "--n", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[2] == "3,1/3,1/3,1/3"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cesaro.kernel import apply_iterate_oracle
 from cesaro.sequences import IterateWalker, RunSeq, iterate_at
+from cesaro.space import padd, psub
 
 F = Fraction
 
@@ -17,7 +18,7 @@ def runs_and_cuts(draw):
     """Runs of one dimension, plus cut points that include offsets inside runs."""
     d = draw(st.integers(1, 2))
     runs = draw(st.lists(
-        st.tuples(st.tuples(*[small_fraction] * d), st.integers(1, 6)),
+        st.tuples(st.tuples(*[small_fraction] * d), st.integers(1, 80)),
         min_size=1, max_size=5,
     ))
     cuts = set()
@@ -74,3 +75,70 @@ def test_push_seq_rejects_out_of_range():
         walker.push_seq(seq, len(seq) + 1)
     assert walker.j == 5
     assert walker.value(2) == iterate_at(2, seq, 5)
+
+
+@st.composite
+def walker_and_runs(draw):
+    """A walker resumed at some cursor (0 included) and runs of up to ~400 terms."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[small_fraction] * d)
+    prefix = draw(st.lists(st.tuples(point, st.integers(1, 30)), max_size=3))
+    runs = draw(st.lists(st.tuples(point, st.integers(0, 400)), min_size=1, max_size=3))
+    if prefix and draw(st.booleans()):
+        # resume in the middle of the prefix's last run
+        runs[0] = (prefix[-1][0], runs[0][1])
+    return k, d, prefix, runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(walker_and_runs())
+def test_push_run_matches_single_pushes(data):
+    k, d, prefix, runs = data
+    walker = IterateWalker(k, d)
+    for p, count in prefix:
+        for _ in range(count):
+            walker.push(p)
+    twin = walker.copy()
+    for p, count in runs:
+        walker.push_run(p, count)
+        for _ in range(count):
+            twin.push(p)
+        assert walker.j == twin.j
+        assert walker.values == twin.values
+        assert walker.sums == twin.sums
+
+
+def harmonic(n, power=1):
+    total = Fraction(0)
+    for j in range(1, n + 1):
+        total += Fraction(1, j ** power)
+    return total
+
+
+def test_impulse_iterates_in_closed_form():
+    # for the unit impulse, [T^c]_n = h_(c-1)(1/1, ..., 1/n) / n
+    n = 10**4
+    seq = RunSeq([((F(1),), 1), ((F(0),), n - 1)])
+    h1, h2 = harmonic(n), harmonic(n, 2)
+    assert iterate_at(2, seq, n) == (h1 / n,)
+    assert iterate_at(3, seq, n) == ((h1 * h1 + h2) / (2 * n),)
+
+
+def test_mixed_dimensions_rejected():
+    with pytest.raises(ValueError):
+        padd((F(1),), (F(1), F(2)))
+    with pytest.raises(ValueError):
+        psub((F(1), F(2)), (F(1),))
+    walker = IterateWalker(2, 2)
+    with pytest.raises(ValueError):
+        walker.push((F(1),))
+    with pytest.raises(ValueError):
+        walker.push_run((F(1),), 3)
+    assert walker.j == 0 and walker.values == [(F(0), F(0))] * 2
+    with pytest.raises(ValueError):
+        RunSeq([((F(1),), 1), ((F(2), F(5)), 3)])
+    seq = RunSeq([((F(1),), 1)])
+    with pytest.raises(ValueError):
+        seq.append((F(2), F(5)), 3)
+    assert len(seq) == 1
