@@ -168,27 +168,17 @@ def cmd_audit(args) -> int:
 # construct subcommand
 # ---------------------------------------------------------------------------
 
-def _trajectory_rows(trace: dict, space: Space):
-    from .construct import seq_from_trace
-    from .sequences import IterateWalker
-
-    seq = seq_from_trace(trace)
+def _trajectory_rows(trace: dict):
     n = trace["final_index"]
-    targets = [_point_cfg(t) for t in trace["targets"]]
-    walker = IterateWalker(max(trace["ks"]), seq.dimension)
-    walker.push_seq(seq, n)
     rows = []
-    for idx, k in enumerate(trace["ks"]):
-        value = walker.value(k)
-        target = targets[idx]
-        dist = space.metric(value, target)
+    for idx, (k, dist) in enumerate(zip(trace["ks"], trace["distances"], strict=True)):
         row = {"n": n, "k": k}
-        for i, c in enumerate(value, start=1):
-            row[f"coord_{i}"] = fracstr(c)
-            row[f"coord_{i}_dec"] = decstr(c)
+        for i, c in enumerate(dist["value"], start=1):
+            row[f"coord_{i}"] = c
+            row[f"coord_{i}_dec"] = decstr(frac(c))
         row["target_id"] = idx
-        row["metric_distance"] = fracstr(dist)
-        row["metric_distance_dec"] = decstr(dist)
+        row["metric_distance"] = dist["metric"]
+        row["metric_distance_dec"] = dist["metric_dec"]
         rows.append(row)
     return rows
 
@@ -236,7 +226,7 @@ def cmd_construct(args) -> int:
         )
         trace = result.trace
         _write_text(out_dir / "trace.json", _json_text(trace))
-        _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace, space), space.dimension)
+        _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
         _print_summary(trace, space, epsilon)
         replay = replay_trace(trace, space, cache)
         print(f"replay matches recorded distances: {replay['matches']}")
@@ -253,7 +243,7 @@ def cmd_construct(args) -> int:
         )
         trace = result.trace
         _write_text(out_dir / "trace.json", _json_text(trace))
-        _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace, space), space.dimension)
+        _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
         print(f"n0 = {result.n0}")
         _print_summary(trace, space, epsilon)
         return EXIT_OK
@@ -266,7 +256,7 @@ def cmd_construct(args) -> int:
         _write_text(out_dir / "trace.json", _json_text(payload))
         rows = []
         for trace in result.traces:
-            rows.extend(_trajectory_rows(trace, space))
+            rows.extend(_trajectory_rows(trace))
         _write_trajectory(out_dir / "trajectory.csv", rows, space.dimension)
         print(f"schedule: {result.schedule}")
         for lam, trace in enumerate(result.traces, start=1):

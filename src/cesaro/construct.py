@@ -695,9 +695,10 @@ def _level1_requirement(seq: RunSeq, a: Point, tol, space: Space) -> int:
 def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) -> int:
     """Append copies of `a` until every level's iterate is metric-within tol of a.
 
-    Returns v1 (the certified length).  Level 1 has a closed form; for
-    k >= 2 it still supplies a hard lower bound checked before the
-    step-by-step walk, so hopeless runs fail loudly and immediately.
+    Returns v1 (the certified length).  Level 1 has a closed form, and no
+    shorter length can pass at level 1, so the walker absorbs the copies up
+    to it in one run before checking each further index; hopeless runs fail
+    loudly and immediately.
     """
     rho0 = len(seq)
     level1_v = _level1_requirement(seq, a, tol, space)
@@ -706,17 +707,12 @@ def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) 
             "term_cap", "stabilization needs more terms than the cap",
             phase="stabilization", required_v1_at_level1=level1_v, term_cap=term_cap,
         )
-    if k == 1:
-        if level1_v > rho0:
-            seq.append(a, level1_v - rho0)
-        return level1_v
-
     walker = IterateWalker(k, space.dimension)
     walker.push_seq(seq)
+    walker.push_run(a, level1_v - rho0)
+    seq.append(a, level1_v - rho0)
     while True:
-        if walker.j >= 1 and all(
-            space.metric(walker.value(level), a) < tol for level in range(1, k + 1)
-        ):
+        if all(space.metric(walker.value(level), a) < tol for level in range(1, k + 1)):
             return walker.j
         if walker.j >= term_cap:
             worst = max(

@@ -2,31 +2,24 @@
 
 T maps a sequence to its running arithmetic means; T^k is the k-fold
 composition.  T^k is represented by a lower-triangular matrix whose row n
-holds the weights that average the first n sequence terms.  There are two
-ways to compute entries, each suited to one access pattern:
+holds the weights that average the first n sequence terms.  Every entry
+comes from one formula, the closed form
 
-* Whole rows (``row``, ``entry``, ``apply_iterate``, the audits) come from
-  a memo triangle built by the column-sum recurrence
+    T^k_(n,m) = h_(k-1)(1/m, ..., 1/n) / n
 
-      T^k_(n,m) = (1/n) * sum_{i=m}^{n} T^(k-1)_(i,m)
-
-  which costs O(1) amortized per entry with the per-column accumulators kept
-  by the cache, bounded by the cache budget.
-
-* Segments of one row (``row_tail``, which the constructions use) come from
-  the closed form
-
-      T^k_(n,m) = h_(k-1)(1/m, ..., 1/n) / n
-
-  where h_j is the complete homogeneous symmetric polynomial (Hardy,
-  *Divergent Series*, section 5).  A downward sweep over m yields any
-  segment in O(width * k) operations and O(width) memory, with no earlier
-  rows and no cache.
+where h_j is the complete homogeneous symmetric polynomial (Hardy,
+*Divergent Series*, section 5).  ``row_tail`` evaluates it by a downward
+sweep over m, which yields any segment of any row in O(width * k)
+operations and O(width) memory, with no earlier rows.  The constructions
+use segments directly; whole rows (``row``, ``entry``, ``apply_iterate``,
+the audits) are the segment from column 1, memoized by the cache within
+its budget.
 
 Everything is an exact ``Fraction``.
 
-Concurrency: rows are published as immutable tuples.  A single lock guards
-extension of the table; readers never need it once a row is visible.
+Concurrency: rows are published as immutable tuples.  A missing row is
+built and published under a single lock; readers never need it once a row
+is visible.
 """
 
 import os
@@ -50,9 +43,6 @@ class KernelCache:
         self.k_max = k_max
         self.n_max = n_max
         self._rows: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        # per level k: rows built so far and running column sums of level k-1
-        self._built: dict[int, int] = {}
-        self._colsums: dict[int, list[Fraction]] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -86,30 +76,10 @@ class KernelCache:
         if got is not None:
             return got
         with self._lock:
-            self._extend_level(k, n)
-        return self._rows[(k, n)]
-
-    def _extend_level(self, k: int, n: int) -> None:
-        # caller holds the lock; recursion depth is k <= k_max
-        if k == 1:
-            built = self._built.get(1, 0)
-            for i in range(built + 1, n + 1):
-                self._rows[(1, i)] = (Fraction(1, i),) * i
-            self._built[1] = max(built, n)
-            return
-        if self._built.get(k - 1, 0) < n:
-            self._extend_level(k - 1, n)
-        built = self._built.get(k, 0)
-        cols = self._colsums.setdefault(k, [])
-        for i in range(built + 1, n + 1):
-            cols.append(ZERO)  # column i opens at row i
-            prev = self._rows[(k - 1, i)]
-            row = []
-            for m in range(1, i + 1):
-                cols[m - 1] += prev[m - 1]
-                row.append(cols[m - 1] / i)
-            self._rows[(k, i)] = tuple(row)
-        self._built[k] = max(built, n)
+            got = self._rows.get((k, n))
+            if got is None:
+                got = self._rows[(k, n)] = tuple(self.row_tail(k, n, 1))
+        return got
 
     def entry(self, k: int, n: int, m: int) -> Fraction:
         """T^k_(n,m); zero above the diagonal (m > n)."""
@@ -122,21 +92,21 @@ class KernelCache:
     def row_tail(self, k: int, n: int, m_from: int) -> list[Fraction]:
         """Entries T^k_(n,m) for m = m_from..n, computed without the cache.
 
-        Sweeps m down from n, updating h_j += h_(j-1)/m for j = 1..k-1, so
-        that after step m the list holds h_j(1/m, ..., 1/n) and h_(k-1)/n is
-        the entry at column m.  Reaches row indices far beyond the cache
-        budget.
+        Sweeps m down from n, updating h_j += h_(j-1)/m for j = 1..k-1 from
+        h_0 = 1/n, so that after step m the list holds h_j(1/m, ..., 1/n)/n
+        and its last element is the entry at column m.  Reaches row indices
+        far beyond the cache budget.
         """
         if k < 1 or not (1 <= m_from <= n):
             raise ValueError("need k >= 1 and 1 <= m_from <= n")
         if k == 1:
             return [Fraction(1, n)] * (n - m_from + 1)
-        h = [Fraction(1)] + [ZERO] * (k - 1)
+        h = [Fraction(1, n)] + [ZERO] * (k - 1)
         out = []
         for m in range(n, m_from - 1, -1):
             for j in range(1, k):
                 h[j] += h[j - 1] / m
-            out.append(h[-1] / n)
+            out.append(h[-1])
         out.reverse()
         return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,21 @@ def test_kernel_json_roundtrip(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["k"] == 2
     assert payload["rows"]["3"] == ["11/18", "5/18", "1/9"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--k", "3", "--n", "40"],
+     "ac9961c4903005132e8922ae0c933e720ebee15c0d5d265dd6115602e5574629"),
+    (["--k", "5", "--n", "60", "--format", "json"],
+     "8aa368ad2ffb5e44f597fdf25dcd05c20c6d96e1d660d39bac2cb8e69abd9864"),
+])
+def test_kernel_output_bytes_pinned(monkeypatch, capsys, argv, digest):
+    # digests recorded from the column-sum recurrence
+    # T^k_(n,m) = (1/n) sum_{i=m..n} T^(k-1)_(i,m), which shares no code with
+    # the symmetric-polynomial sweep that builds the rows
+    monkeypatch.delenv("CESARO_CACHE_BUDGET", raising=False)
+    assert main(["kernel", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_kernel_budget_exit(monkeypatch, capsys):

@@ -23,7 +23,7 @@ from cesaro import (
     run_target_plan,
     simultaneous_construct,
 )
-from cesaro.construct import partition_min_m
+from cesaro.construct import _stabilize, partition_min_m
 from cesaro.exact import ceil_frac, frac
 from cesaro.sequences import RunSeq, iterate_at
 from cesaro.space import (
@@ -296,6 +296,32 @@ def test_simultaneous_k2_fails_loudly(line, lattice1, cache):
     assert err.details["m_required"] >= err.details["m0"]
     # relaxation never happens silently: the message carries the numbers
     assert str(err.details["m0"]) in str(err)
+
+
+def test_stabilize_multilevel_from_prefix():
+    # v1 is the first index at which every level passes, walked index by index;
+    # the two fixed cases pass at exactly the padded level-1 length
+    cases = [([(F(-1),), (F(2),)], (F(0),), k, F(1, 10)) for k in (2, 3)]
+    rng = random.Random(21)
+    for _ in range(12):
+        d = rng.randint(1, 2)
+        prefix = [tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))
+                  for _ in range(rng.randint(1, 5))]
+        a = tuple(F(rng.randint(-1, 1), 2) for _ in range(d))
+        cases.append((prefix, a, rng.randint(2, 3), F(1, rng.choice([4, 6, 8, 10]))))
+    for prefix, a, k, tol in cases:
+        sp = Space(len(a))
+        seq = RunSeq([(p, 1) for p in prefix])
+        v1 = _stabilize(seq, a, k, tol, sp, 10**6)
+        assert v1 < 500
+        assert seq.runs == RunSeq([(p, 1) for p in prefix] + [(a, v1 - len(prefix))]).runs
+        want = len(prefix)
+        while True:
+            padded = RunSeq([(p, 1) for p in prefix] + [(a, want - len(prefix))])
+            if all(sp.metric(iterate_at(c, padded, want), a) < tol for c in range(1, k + 1)):
+                break
+            want += 1
+        assert v1 == want
 
 
 def test_simultaneous_rejects_bad_epsilon(line, lattice1):

@@ -174,11 +174,28 @@ def test_budget_errors():
     assert small.entry(2, 3, 7) == 0
 
 
+def assert_segment_matches_reference(k, n, m_from, tail):
+    """Check a row_tail segment against paths that share no code with the sweep.
+
+    Literal matrix powers for n <= 12; beyond that, repeated averaging of unit
+    impulses at the segment's first, middle and last columns.
+    """
+    assert len(tail) == n - m_from + 1
+    if n <= 12:
+        assert tail == dense_power(k, n)[n - 1][m_from - 1:]
+        return
+    for m in sorted({m_from, (m_from + n) // 2, n}):
+        impulse = [(Fraction(0),)] * n
+        impulse[m - 1] = (Fraction(1),)
+        assert apply_iterate_oracle(k, impulse, n) == (tail[m - m_from],)
+
+
 def test_row_tail_matches_rows(cache):
     for k in range(1, 7):
-        for n in (1, 5, 17, 40, 150, 400):
+        for n in (1, 5, 12, 17, 40, 150, 400):
             for m_from in (1, n // 2 + 1, n):
                 tail = cache.row_tail(k, n, m_from)
+                assert_segment_matches_reference(k, n, m_from, tail)
                 assert tail == list(cache.row(k, n)[m_from - 1:])
 
 
@@ -192,7 +209,9 @@ def test_row_tail_rejects_bad_indices(cache):
 @given(st.integers(1, 6), st.integers(1, 250), st.data())
 def test_row_tail_matches_rows_hypothesis(cache, k, n, data):
     m_from = data.draw(st.integers(1, n))
-    assert cache.row_tail(k, n, m_from) == list(cache.row(k, n)[m_from - 1:])
+    tail = cache.row_tail(k, n, m_from)
+    assert_segment_matches_reference(k, n, m_from, tail)
+    assert tail == list(cache.row(k, n)[m_from - 1:])
 
 
 def test_row_tail_wide_segment():
