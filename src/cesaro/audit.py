@@ -20,7 +20,7 @@ from .kernel import (
     convexity_expansion,
     default_cache,
 )
-from .sequences import IterateWalker, RunSeq
+from .sequences import IterateWalker, RunProbes, RunSeq
 from .space import Space
 
 MAX_STORED_COUNTEREXAMPLES = 25
@@ -298,12 +298,37 @@ def audit_unit_interval(samples: int = 500, n_max: int = 100, seed: int = 0,
     return report
 
 
+def _piece_minimum(run: RunProbes, l: int, r: int, k: int, target, space: Space, best):
+    """Lexicographic minimum of best and (metric, j) over l < j < r.
+
+    Every coordinate of [T^k] is monotone on [l, r], so the values there lie
+    in the box spanned by the ends, and the box's metric distance to the
+    target bounds every distance inside from below.  A part whose bound
+    cannot beat best (or only tie it at a later index) is skipped.
+    """
+    if r - l < 2:
+        return best
+    bound = space.box_metric(run.at(l).value(k), run.at(r).value(k), target)
+    if (bound, l + 1) >= best:
+        return best
+    mid = (l + r) // 2
+    best = min(best, (space.metric(run.at(mid).value(k), target), mid))
+    best = _piece_minimum(run, l, mid, k, target, space, best)
+    return _piece_minimum(run, mid, r, k, target, space, best)
+
+
 def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     """Minimum iterate-to-target distances as the prefix grows.
 
-    Returns rows {length, k, target_id, min_metric, at_index}; the minimum
-    is a running one, so it is nonincreasing in `length` by construction.
-    This is an empirical closeness measurement, not a density proof.
+    Returns rows {length, k, target_id, min_metric, at_index}: for each entry
+    of ks and each target, the smallest metric distance over indices up to
+    `length` and the first index where it occurs; the minimum is a running
+    one, so it is nonincreasing in `length` by construction.  One walker
+    holds every requested level.  Each run is split at the checkpoints and
+    at the ``RunProbes`` cuts of every requested level, and each piece is
+    searched from its ends (``_piece_minimum``), so only the indices whose
+    distance could still be the minimum are evaluated.  This is an
+    empirical closeness measurement, not a density proof.
     """
     seq = prefix if isinstance(prefix, RunSeq) else RunSeq([(p, 1) for p in prefix])
     total = len(seq)
@@ -313,25 +338,52 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     marks = set(int(c) for c in checkpoints if 1 <= int(c) <= total)
     if min(ks, default=1) < 1:
         raise ValueError("need k >= 1")
-    # one walker holds every requested level; rows stay grouped by entry of ks
     walker = IterateWalker(max(ks, default=1), space.dimension)
-    best = [[(None, None)] * len(targets) for _ in ks]
+    # best[pos][t] is the lexicographic minimum of (metric, index) so far, so
+    # a tie keeps the earlier index; rows stay grouped by entry of ks
+    best = [[None] * len(targets) for _ in ks]
     rows = [[] for _ in ks]
-    for p in seq.iter_points():
-        walker.push(p)
+
+    def visit(j, state):
         for pos, k in enumerate(ks):
-            value = walker.value(k)
+            value = state.value(k)
             for t, target in enumerate(targets):
-                dist = space.metric(value, target)
-                if best[pos][t][0] is None or dist < best[pos][t][0]:
-                    best[pos][t] = (dist, walker.j)
-            if walker.j in marks:
-                for t in range(len(targets)):
-                    rows[pos].append({
-                        "length": walker.j, "k": k, "target_id": t,
-                        "min_metric": fracstr(best[pos][t][0]),
-                        "at_index": best[pos][t][1],
-                    })
+                candidate = (space.metric(value, target), j)
+                if best[pos][t] is None or candidate < best[pos][t]:
+                    best[pos][t] = candidate
+
+    def emit(j):
+        for pos, k in enumerate(ks):
+            for t in range(len(targets)):
+                rows[pos].append({
+                    "length": j, "k": k, "target_id": t,
+                    "min_metric": fracstr(best[pos][t][0]),
+                    "at_index": best[pos][t][1],
+                })
+
+    for p, count in seq.runs:
+        if walker.j == 0:  # the first term has no earlier state to probe from
+            walker.push(p)
+            visit(1, walker)
+            if 1 in marks:
+                emit(1)
+            count -= 1
+            if count == 0:
+                continue
+        run = RunProbes(walker, p, count)
+        cuts = {run.a, run.b, *(m for m in marks if run.a < m < run.b)}
+        for level in set(ks):
+            cuts.update(run.cuts(level))
+        cuts = sorted(cuts)
+        for l, r in zip(cuts, cuts[1:]):
+            visit(r, run.at(r))
+            for pos, k in enumerate(ks):
+                for t, target in enumerate(targets):
+                    best[pos][t] = _piece_minimum(run, l, r, k, target, space, best[pos][t])
+            if r in marks:
+                emit(r)
+            run.release(r)
+        walker = run.at(run.b)
     return [row for group in rows for row in group]
 
 

@@ -57,12 +57,35 @@ def _point_cfg(raw):
     return tuple(frac(c) for c in raw)
 
 
+# top-level config keys every construct mode reads; `seed` is accepted and
+# ignored, since the constructions draw no random numbers.  Each mode's own
+# keys are registered with its handler by `_mode`.
+_SHARED_KEYS = {"schema", "space", "ground_set", "index_set", "budgets", "seed"}
+_MODES = {}
+
+
+def _mode(name: str, *keys: str):
+    """Register a construct handler for mode `name`, which reads `keys` of the config."""
+    def register(handler):
+        _MODES[name] = (frozenset(keys), handler)
+        return handler
+    return register
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
     if cfg.get("schema") != CONFIG_SCHEMA:
         raise ValueError(f"config schema must be {CONFIG_SCHEMA}")
     return cfg
+
+
+def check_config_keys(cfg: dict, mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    unknown = sorted(set(cfg) - _SHARED_KEYS - _MODES[mode][0])
+    if unknown:
+        raise ValueError(f"unknown config keys for mode {mode}: {', '.join(unknown)}")
 
 
 def space_from_config(cfg: dict) -> Space:
@@ -207,94 +230,103 @@ def _print_summary(trace: dict, space: Space, epsilon) -> None:
         )
 
 
+@_mode("thm42", "epsilon", "k", "targets")
+def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
+    targets = [_point_cfg(t) for t in cfg["targets"]]
+    if "k" in cfg and int(cfg["k"]) != len(targets):
+        raise ValueError(f"config k={cfg['k']} but {len(targets)} targets are given")
+    epsilon = frac(cfg["epsilon"])
+    result = simultaneous_construct(
+        [], targets, epsilon, index_set, space, ground, cache, term_cap
+    )
+    trace = result.trace
+    _write_text(out_dir / "trace.json", _json_text(trace))
+    _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
+    _print_summary(trace, space, epsilon)
+    replay = replay_trace(trace, space, cache)
+    print(f"replay matches recorded distances: {replay['matches']}")
+    print(f"n = {result.n} (admissible: {index_set.contains(result.n)})")
+    return EXIT_OK
+
+
+@_mode("lemma33", "epsilon", "k", "witness")
+def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
+    epsilon = frac(cfg["epsilon"])
+    witness = ConvexWitness(tuple(
+        (frac(c), _point_cfg(p)) for c, p in cfg["witness"]["atoms"]
+    ))
+    result = single_target_extend(
+        [], witness, epsilon, int(cfg["k"]), space, ground, term_cap
+    )
+    trace = result.trace
+    _write_text(out_dir / "trace.json", _json_text(trace))
+    _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
+    print(f"n0 = {result.n0}")
+    _print_summary(trace, space, epsilon)
+    return EXIT_OK
+
+
+@_mode("thm41", "plan")
+def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
+    plan = [[_point_cfg(t) for t in entry["targets"]] for entry in cfg["plan"]]
+    result = run_target_plan(plan, index_set, space, ground, cache, term_cap)
+    payload = {"schema": 1, "kind": "thm41", "schedule": result.schedule,
+               "entries": result.traces}
+    _write_text(out_dir / "trace.json", _json_text(payload))
+    rows = []
+    for trace in result.traces:
+        rows.extend(_trajectory_rows(trace))
+    _write_trajectory(out_dir / "trajectory.csv", rows, space.dimension)
+    print(f"schedule: {result.schedule}")
+    for lam, trace in enumerate(result.traces, start=1):
+        _print_summary(trace, space, Fraction(1, lam))
+    return EXIT_OK
+
+
+@_mode("dense", "dense")
+def _construct_dense(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
+    dense_cfg = cfg.get("dense", {})
+    enumeration = [_point_cfg(p) for p in dense_cfg["enumeration"]]
+    growth = growth_from_config(dense_cfg.get("growth"))
+    terms = int(dense_cfg.get("terms", 2000))
+    ks = [int(k) for k in dense_cfg.get("ks", [1, 2])]
+    target_count = int(dense_cfg.get("target_count", min(5, len(enumeration))))
+    targets = enumeration[:target_count]
+    seq = take_prefix(dense_example(enumeration, growth), terms)
+    table = audit_mod.audit_density(seq, targets, ks, space)
+    payload = {
+        "schema": 1,
+        "kind": "dense",
+        "note": ("empirical closeness audit at desk-scale growth; "
+                 "not a density proof"),
+        "terms": len(seq),
+        "table": table,
+    }
+    _write_text(out_dir / "density.json", _json_text(payload))
+    rows = []
+    for entry in table:
+        if entry["length"] != len(seq):
+            continue
+        rows.append(entry)
+    print(f"dense example: {len(seq)} terms (empirical audit, not a density proof)")
+    print("k      target  min_metric             at_index")
+    for entry in rows:
+        print(f"{entry['k']:<6} {entry['target_id']:<7} "
+              f"{entry['min_metric']} ({decstr(frac(entry['min_metric']))})  {entry['at_index']}")
+    return EXIT_OK
+
+
 def cmd_construct(args) -> int:
     cfg = load_config(args.config)
+    check_config_keys(cfg, args.mode)
     space = space_from_config(cfg)
     ground = ground_from_config(cfg, space.dimension)
     index_set = index_set_from_config(cfg)
     cache, term_cap = budgets_from_config(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.mode == "thm42":
-        targets = [_point_cfg(t) for t in cfg["targets"]]
-        if "k" in cfg and int(cfg["k"]) != len(targets):
-            raise ValueError(f"config k={cfg['k']} but {len(targets)} targets are given")
-        epsilon = frac(cfg["epsilon"])
-        result = simultaneous_construct(
-            [], targets, epsilon, index_set, space, ground, cache, term_cap
-        )
-        trace = result.trace
-        _write_text(out_dir / "trace.json", _json_text(trace))
-        _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
-        _print_summary(trace, space, epsilon)
-        replay = replay_trace(trace, space, cache)
-        print(f"replay matches recorded distances: {replay['matches']}")
-        print(f"n = {result.n} (admissible: {index_set.contains(result.n)})")
-        return EXIT_OK
-
-    if args.mode == "lemma33":
-        epsilon = frac(cfg["epsilon"])
-        witness = ConvexWitness(tuple(
-            (frac(c), _point_cfg(p)) for c, p in cfg["witness"]["atoms"]
-        ))
-        result = single_target_extend(
-            [], witness, epsilon, int(cfg["k"]), space, ground, term_cap
-        )
-        trace = result.trace
-        _write_text(out_dir / "trace.json", _json_text(trace))
-        _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
-        print(f"n0 = {result.n0}")
-        _print_summary(trace, space, epsilon)
-        return EXIT_OK
-
-    if args.mode == "thm41":
-        plan = [[_point_cfg(t) for t in entry["targets"]] for entry in cfg["plan"]]
-        result = run_target_plan(plan, index_set, space, ground, cache, term_cap)
-        payload = {"schema": 1, "kind": "thm41", "schedule": result.schedule,
-                   "entries": result.traces}
-        _write_text(out_dir / "trace.json", _json_text(payload))
-        rows = []
-        for trace in result.traces:
-            rows.extend(_trajectory_rows(trace))
-        _write_trajectory(out_dir / "trajectory.csv", rows, space.dimension)
-        print(f"schedule: {result.schedule}")
-        for lam, trace in enumerate(result.traces, start=1):
-            _print_summary(trace, space, Fraction(1, lam))
-        return EXIT_OK
-
-    if args.mode == "dense":
-        dense_cfg = cfg.get("dense", {})
-        enumeration = [_point_cfg(p) for p in dense_cfg["enumeration"]]
-        growth = growth_from_config(dense_cfg.get("growth"))
-        terms = int(dense_cfg.get("terms", 2000))
-        ks = [int(k) for k in dense_cfg.get("ks", [1, 2])]
-        target_count = int(dense_cfg.get("target_count", min(5, len(enumeration))))
-        targets = enumeration[:target_count]
-        seq = take_prefix(dense_example(enumeration, growth), terms)
-        table = audit_mod.audit_density(seq, targets, ks, space)
-        payload = {
-            "schema": 1,
-            "kind": "dense",
-            "note": ("empirical closeness audit at desk-scale growth; "
-                     "not a density proof"),
-            "terms": len(seq),
-            "table": table,
-        }
-        _write_text(out_dir / "density.json", _json_text(payload))
-        rows = []
-        for entry in table:
-            if entry["length"] != len(seq):
-                continue
-            rows.append(entry)
-        print(f"dense example: {len(seq)} terms (empirical audit, not a density proof)")
-        print("k      target  min_metric             at_index")
-        for entry in rows:
-            print(f"{entry['k']:<6} {entry['target_id']:<7} "
-                  f"{entry['min_metric']} ({decstr(frac(entry['min_metric']))})  {entry['at_index']}")
-        return EXIT_OK
-
-    raise ValueError(f"unknown mode {args.mode!r}")
+    handler = _MODES[args.mode][1]
+    return handler(cfg, space, ground, index_set, cache, term_cap, out_dir)
 
 
 def build_parser() -> _Parser:

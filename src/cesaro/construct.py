@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr
 from .kernel import KernelCache, apply_iterate, default_cache
-from .sequences import IterateWalker, RunSeq, iterate_at
+from .sequences import IterateWalker, RunProbes, RunSeq, iterate_at
 from .space import (
     FinitePointSet,
     GroundSet,
@@ -462,6 +462,25 @@ class StageRecord:
         }
 
 
+def _block_seminorm_max(walker: IterateWalker, runs, level: int, rhos, space: Space):
+    """Walk a block's runs; return each seminorm's in-block maximum and the end walker.
+
+    The maximum of |[T^level]_j|_rho runs over every index j of the block.
+    Each coordinate is monotone between a run's cuts, so it peaks at the
+    run's first index or at a cut, and only those indices are evaluated.
+    """
+    block_max = {rho: ZERO for rho in rhos}
+    for p, count in runs:
+        run = RunProbes(walker, p, count)
+        for j in sorted({run.a + 1, *run.cuts(level)[1:]}):
+            value = run.at(j).value(level)
+            for rho in rhos:
+                block_max[rho] = max(block_max[rho], space.seminorm(rho, value))
+            run.release(j)
+        walker = run.at(run.b)
+    return block_max, walker
+
+
 def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
                        targets, epsilon, space: Space,
                        cache: KernelCache | None = None):
@@ -606,15 +625,11 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
         if not all(abs(r) < two_over_v for r in residuals):
             raise CertificationError(f"stage {i}: final coefficients drifted past 2/v")
 
-        # append the block term by term; the walker ends at the block's end
-        block_max = {rho: ZERO for rho in rhos}
-        for aj, count in assignment:
-            seq.append(atoms[aj], count)
-            for _ in range(count):
-                walker.push(atoms[aj])
-                value = walker.value(level)
-                for rho in rhos:
-                    block_max[rho] = max(block_max[rho], space.seminorm(rho, value))
+        # append the block; the walker ends at the block's end
+        runs = [(atoms[aj], count) for aj, count in assignment]
+        for p, count in runs:
+            seq.append(p, count)
+        block_max, walker = _block_seminorm_max(walker, runs, level, rhos, space)
 
         # postcondition (a): endpoint lands within eps/3 per important seminorm
         endpoint = walker.value(level)

@@ -11,6 +11,15 @@ computed by binary splitting.  ``IterateWalker.push_seq`` is the one loop
 that walks a sequence's runs up to an index; ``iterate_at`` and the
 constructions all go through it, and ``copy`` branches a walker (for
 instance to pad it with zeros) without walking the prefix again.
+
+``RunProbes`` serves readers that need a maximum or minimum over every index
+of a run (the in-block maxima of block assignment, the density audit).  It
+cuts a run of p into pieces on which every coordinate of [T^c] is monotone,
+and makes walker states at chosen indices from the nearest lower one.  With
+u_c = [T^c] - p, j*u_1(j) is constant along the run, so level 1 needs no
+interior cut; at level 2 each coordinate rises to at most one peak and then
+falls back toward p, and bisection finds the peak.  Levels >= 3 (not proved
+unimodal) are cut at every index.
 """
 
 from fractions import Fraction
@@ -212,6 +221,88 @@ class IterateWalker:
         if self.j == 0:
             raise ValueError("no terms pushed yet")
         return self.values[level - 1]
+
+
+class RunProbes:
+    """Walker states inside one run of p, and the run's monotone pieces.
+
+    The run takes the cursor a >= 1 of ``walker`` to b = a + count; the
+    walker itself is left unchanged.  ``at(j)`` is the state at index j,
+    made from the nearest lower state held by ``copy`` and ``push_run``;
+    states live only as long as this object, and ``release`` drops the ones
+    a reader has moved past.  ``cuts(level)`` splits a..b into pieces on
+    which every coordinate of [T^level] is monotone.
+    """
+
+    def __init__(self, walker: IterateWalker, p: Point, count: int):
+        if walker.j < 1:
+            raise ValueError("a run needs a walker past its first term")
+        if count < 1:
+            raise ValueError("a run needs at least one term")
+        self.p = tuple(p)
+        self.a = walker.j
+        self.b = walker.j + count
+        self._states = {self.a: walker}
+
+    def at(self, j: int) -> IterateWalker:
+        state = self._states.get(j)
+        if state is None:
+            if not (self.a < j <= self.b):
+                raise ValueError(f"index {j} outside {self.a}..{self.b}")
+            lower = max(i for i in self._states if i < j)
+            state = self._states[lower].copy()
+            if j - lower == 1:
+                state.push(self.p)
+            else:
+                state.push_run(self.p, j - lower)
+            self._states[j] = state
+        return state
+
+    def release(self, j: int) -> None:
+        """Forget the states strictly between a and j."""
+        self._states = {i: s for i, s in self._states.items() if i == self.a or i >= j}
+
+    def cuts(self, level: int) -> list:
+        """Indices a = t_0 < ... < t_m = b with [T^level] monotone on each [t_i, t_(i+1)].
+
+        With u_c = [T^c] - p along the run, j*u_1(j) = a*u_1(a) = B stays
+        constant, so level 1 needs no interior cut.  At level 2,
+        f = u_2 obeys f(j) - f(j-1) = (B/j - f(j-1))/j: once
+        sign(B)*j*f(j-1) >= |B| the step is <= 0 and the condition persists,
+        since then f(j) >= B/j > B/(j+1) (for B > 0; B < 0 is symmetric), and
+        before it the step is > 0.  So each coordinate rises to one peak and
+        then falls, and bisection on that condition finds the peak.  Levels
+        >= 3 return every index.
+        """
+        a, b = self.a, self.b
+        if level < 1:
+            raise ValueError("need level >= 1")
+        if level >= 3:
+            return list(range(a, b + 1))
+        if level == 1:
+            return [a, b]
+        peaks = set()
+        for i, (x, v) in enumerate(zip(self.p, self._states[a].value(1))):
+            drift = a * (v - x)  # B for coordinate i
+            if drift == 0:
+                continue
+            sign = 1 if drift > 0 else -1
+
+            def turned(t):  # the step from t to t + 1 does not move away from p
+                return sign * (t + 1) * (self.at(t).value(2)[i] - x) >= sign * drift
+
+            if turned(a):
+                continue
+            lo, hi = a, b
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if turned(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            if hi < b:
+                peaks.add(hi)
+        return [a, *sorted(peaks), b]
 
 
 def iterate_at(k: int, seq: RunSeq, n: int) -> Point:

@@ -94,6 +94,18 @@ class Space:
             total += pow2(i) * u / (1 + u)
         return total
 
+    def box_metric(self, x: Point, y: Point, z: Point) -> Fraction:
+        """Smallest metric distance from z to the coordinate box spanned by x and y.
+
+        The metric grows with each coordinate gap separately, so the nearest
+        point of the box clamps each coordinate of z into [min, max] of x's
+        and y's.
+        """
+        nearest = tuple(
+            min(max(zi, min(xi, yi)), max(xi, yi)) for xi, yi, zi in zip(x, y, z, strict=True)
+        )
+        return self.metric(nearest, z)
+
     def important_rhos(self, epsilon) -> range:
         """Seminorm indices that matter for tolerance epsilon (capped at d)."""
         return range(1, min(n_epsilon(epsilon), self.dimension) + 1)

@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cesaro import (
     AuditReport,
     audit_abel,
@@ -11,7 +14,8 @@ from cesaro import (
     dense_example,
     take_prefix,
 )
-from cesaro.exact import frac
+from cesaro.exact import frac, fracstr
+from cesaro.sequences import IterateWalker, RunSeq, iterate_at
 from cesaro.space import Space, point
 
 F = Fraction
@@ -115,3 +119,85 @@ def test_density_levels_share_one_walk():
     rows = audit_density(seq, targets, [2, 1, 2], sp, checkpoints=marks)
     singles = [audit_density(seq, targets, [k], sp, checkpoints=marks) for k in (2, 1, 2)]
     assert rows == singles[0] + singles[1] + singles[2]
+
+
+def density_reference(prefix, targets, ks, space, checkpoints=None):
+    """audit_density by one push and one exact metric per index and target."""
+    seq = prefix if isinstance(prefix, RunSeq) else RunSeq([(p, 1) for p in prefix])
+    total = len(seq)
+    if checkpoints is None:
+        step = max(1, total // 10)
+        checkpoints = sorted(set(list(range(step, total + 1, step)) + [total]))
+    marks = set(int(c) for c in checkpoints if 1 <= int(c) <= total)
+    walker = IterateWalker(max(ks, default=1), space.dimension)
+    best = [[(None, None)] * len(targets) for _ in ks]
+    rows = [[] for _ in ks]
+    for p in seq.iter_points():
+        walker.push(p)
+        for pos, k in enumerate(ks):
+            value = walker.value(k)
+            for t, target in enumerate(targets):
+                dist = space.metric(value, target)
+                if best[pos][t][0] is None or dist < best[pos][t][0]:
+                    best[pos][t] = (dist, walker.j)
+            if walker.j in marks:
+                for t in range(len(targets)):
+                    rows[pos].append({
+                        "length": walker.j, "k": k, "target_id": t,
+                        "min_metric": fracstr(best[pos][t][0]),
+                        "at_index": best[pos][t][1],
+                    })
+    return [row for group in rows for row in group]
+
+
+@st.composite
+def density_cases(draw):
+    """Runs of 1-300 terms in d <= 3; targets on run points, iterate values and midpoints."""
+    d = draw(st.integers(1, 3))
+    coord = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    weights = draw(st.lists(st.sampled_from([F(1), F(1, 2), F(3), F(2, 5)]),
+                            min_size=d, max_size=d))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(points), st.integers(1, 300)),
+                         min_size=1, max_size=4))
+    seq = RunSeq(runs)
+    ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["point", "iterate", "midpoint", "free"]))
+        if kind == "point":
+            targets.append(draw(st.sampled_from(points)))
+        elif kind == "iterate":
+            n = draw(st.integers(1, len(seq)))
+            targets.append(iterate_at(draw(st.integers(1, 2)), seq, n))
+        elif kind == "midpoint":  # two neighbours at the same distance
+            n, level = draw(st.integers(1, len(seq))), draw(st.integers(1, 2))
+            ends = iterate_at(level, seq, n), iterate_at(level, seq, min(n + 1, len(seq)))
+            targets.append(tuple((x + y) / 2 for x, y in zip(*ends)))
+        else:
+            targets.append(draw(st.tuples(*[coord] * d)))
+    checkpoints = None
+    if draw(st.booleans()):
+        checkpoints = draw(st.lists(st.integers(1, len(seq)), min_size=1, max_size=6))
+    return seq, targets, ks, Space(d, tuple(weights)), checkpoints
+
+
+@settings(max_examples=40, deadline=None)
+@given(density_cases())
+def test_density_matches_per_index_reference(case):
+    seq, targets, ks, space, checkpoints = case
+    assert (audit_density(seq, targets, ks, space, checkpoints)
+            == density_reference(seq, targets, ks, space, checkpoints))
+
+
+def test_density_plateau_keeps_first_index():
+    # along the run of 0 the level-2 iterate peaks at 1/10 on the two equal
+    # neighbours 9 and 10 (x_1, x_2 solve for f(9) = B/10), so the nearest
+    # index to 1/10 and to 1/5 is 9, not 10
+    sp = Space(1)
+    seq = RunSeq([((F(-2341, 2520),), 1), ((F(4861, 2520),), 1), ((F(0),), 60)])
+    assert iterate_at(2, seq, 9) == iterate_at(2, seq, 10) == (F(1, 10),)
+    targets = [(F(1, 10),), (F(1, 5),)]
+    rows = audit_density(seq, targets, [2], sp, checkpoints=[62])
+    assert rows == density_reference(seq, targets, [2], sp, checkpoints=[62])
+    assert [(frac(r["min_metric"]) == 0, r["at_index"]) for r in rows] == [(True, 9), (False, 9)]

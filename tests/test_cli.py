@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cesaro.cli import growth_from_config, main
+from cesaro import cli
+from cesaro.cli import check_config_keys, growth_from_config, load_config, main
 
 THM42_CFG = {
     "schema": 1,
@@ -19,6 +20,38 @@ THM42_CFG = {
     "targets": [["1/2"]],
     "budgets": {"kernel_k_max": 6, "kernel_n_max": 400, "term_cap": 1000000},
     "seed": 0,
+}
+
+
+LEMMA33_CFG = {
+    "schema": 1,
+    "space": {"dimension": 1},
+    "ground_set": {"kind": "lattice", "scale": "1"},
+    "epsilon": "1/10",
+    "k": 2,
+    "witness": {"atoms": [["1/2", ["0"]], ["1/2", ["1"]]]},
+}
+
+PLAN_CFG = {
+    "schema": 1,
+    "space": {"dimension": 1},
+    "ground_set": {"kind": "lattice", "scale": "1"},
+    "index_set": {"kind": "all"},
+    "plan": [{"targets": [["1"]]}],
+    "budgets": {"term_cap": 1000000},
+}
+
+DENSE_CFG = {
+    "schema": 1,
+    "space": {"dimension": 1},
+    "ground_set": {"kind": "lattice", "scale": "10"},
+    "dense": {
+        "enumeration": [[f"{j}/10"] for j in range(8)],
+        "growth": {"kind": "power", "base": 4},
+        "terms": 400,
+        "ks": [1, 2],
+        "target_count": 3,
+    },
 }
 
 
@@ -65,6 +98,16 @@ def test_kernel_output_bytes_pinned(monkeypatch, capsys, argv, digest):
     monkeypatch.delenv("CESARO_CACHE_BUDGET", raising=False)
     assert main(["kernel", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_dense_output_bytes_pinned(tmp_path):
+    # digest of density.json from the per-index running minimum (one push and
+    # one exact metric per index), before the search over monotone pieces
+    config = Path(__file__).resolve().parents[1] / "configs" / "dense.json"
+    assert main(["construct", "--mode", "dense", "--config", str(config),
+                 "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "density.json").read_bytes()).hexdigest()
+    assert digest == "a4d0aec07c0aaabc57d048707024640682fab4cf71909b32ce18a803fa94ea35"
 
 
 def test_kernel_budget_exit(monkeypatch, capsys):
@@ -146,14 +189,7 @@ def test_trace_file_replays(tmp_path):
 
 
 def test_construct_single_target_mode(tmp_path):
-    cfg = write_cfg(tmp_path, {
-        "schema": 1,
-        "space": {"dimension": 1},
-        "ground_set": {"kind": "lattice", "scale": "1"},
-        "epsilon": "1/10",
-        "k": 2,
-        "witness": {"atoms": [["1/2", ["0"]], ["1/2", ["1"]]]},
-    })
+    cfg = write_cfg(tmp_path, LEMMA33_CFG)
     out_dir = tmp_path / "run"
     assert main(["construct", "--mode", "lemma33", "--config", cfg,
                  "--out-dir", str(out_dir)]) == 0
@@ -163,14 +199,7 @@ def test_construct_single_target_mode(tmp_path):
 
 
 def test_construct_plan_mode(tmp_path):
-    cfg = write_cfg(tmp_path, {
-        "schema": 1,
-        "space": {"dimension": 1},
-        "ground_set": {"kind": "lattice", "scale": "1"},
-        "index_set": {"kind": "all"},
-        "plan": [{"targets": [["1"]]}],
-        "budgets": {"term_cap": 1000000},
-    })
+    cfg = write_cfg(tmp_path, PLAN_CFG)
     out_dir = tmp_path / "run"
     assert main(["construct", "--mode", "thm41", "--config", cfg,
                  "--out-dir", str(out_dir)]) == 0
@@ -180,18 +209,7 @@ def test_construct_plan_mode(tmp_path):
 
 
 def test_construct_dense(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {
-        "schema": 1,
-        "space": {"dimension": 1},
-        "ground_set": {"kind": "lattice", "scale": "10"},
-        "dense": {
-            "enumeration": [[f"{j}/10"] for j in range(8)],
-            "growth": {"kind": "power", "base": 4},
-            "terms": 400,
-            "ks": [1, 2],
-            "target_count": 3,
-        },
-    })
+    cfg = write_cfg(tmp_path, DENSE_CFG)
     out_dir = tmp_path / "run"
     assert main(["construct", "--mode", "dense", "--config", cfg,
                  "--out-dir", str(out_dir)]) == 0
@@ -232,6 +250,66 @@ def test_thm42_k_must_match_targets(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "run")]) == 1
     assert "k=2" in capsys.readouterr().err
     assert not (tmp_path / "run" / "trace.json").exists()
+
+
+@pytest.mark.parametrize("mode, payload", [
+    ("thm42", {**THM42_CFG, "epsilom": "1/4"}),
+    ("thm42", {**THM42_CFG, "plan": []}),
+    ("dense", {"schema": 1, "space": {"dimension": 1}, "targets": [["0"]],
+               "dense": {"enumeration": [["0"], ["1"]], "terms": 5, "ks": [1]}}),
+])
+def test_unknown_config_key_exits_1(tmp_path, capsys, mode, payload):
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["construct", "--mode", mode, "--config", cfg,
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+class ReadKeys(dict):
+    """A config that records which of its top-level keys are read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("mode, payload", [
+    ("thm42", THM42_CFG), ("lemma33", LEMMA33_CFG), ("thm41", PLAN_CFG), ("dense", DENSE_CFG),
+])
+def test_mode_keys_are_the_keys_read(tmp_path, monkeypatch, mode, payload):
+    seen = []
+
+    def recording_load(path):
+        seen.append(ReadKeys(load_config(path)))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "load_config", recording_load)
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["construct", "--mode", mode, "--config", cfg,
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert seen[0].read - cli._SHARED_KEYS == cli._MODES[mode][0]
+
+
+def test_shipped_configs_pass_key_check():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    modes = {"simultaneous.json": "thm42", "simultaneous-two-level.json": "thm42",
+             "single-target.json": "lemma33", "plan.json": "thm41", "dense.json": "dense"}
+    assert sorted(p.name for p in configs.glob("*.json")) == sorted(modes)
+    for name, mode in modes.items():
+        check_config_keys(load_config(configs / name), mode)
 
 
 def test_bad_config_schema(tmp_path):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro import (
     BudgetExceededError,
@@ -23,9 +25,9 @@ from cesaro import (
     run_target_plan,
     simultaneous_construct,
 )
-from cesaro.construct import _stabilize, partition_min_m
+from cesaro.construct import _block_seminorm_max, _stabilize, partition_min_m
 from cesaro.exact import ceil_frac, frac
-from cesaro.sequences import RunSeq, iterate_at
+from cesaro.sequences import IterateWalker, RunSeq, iterate_at
 from cesaro.space import (
     FinitePointSet,
     GroundSet,
@@ -233,6 +235,40 @@ def test_assign_two_levels(line, lattice1, cache):
     terms = list(seq.iter_points())
     assert all(t in M1 for t in terms[v:v + lam1])
     assert all(t in M2 for t in terms[v + lam1:])
+
+
+@st.composite
+def assignment_runs(draw):
+    """A prefix, a weighted space and a block of runs over a few atoms."""
+    d = draw(st.integers(1, 2))
+    coord = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
+    pt = st.tuples(*[coord] * d)
+    prefix = draw(st.lists(st.tuples(pt, st.integers(1, 60)), min_size=1, max_size=3))
+    atoms = draw(st.lists(pt, min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(atoms), st.integers(1, 300)),
+                         min_size=1, max_size=4))
+    weights = draw(st.lists(st.sampled_from([F(1), F(1, 2), F(7, 3)]), min_size=d, max_size=d))
+    return prefix, runs, Space(d, tuple(weights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(assignment_runs(), st.integers(1, 2))
+def test_block_seminorm_max_matches_per_index(data, level):
+    prefix, runs, space = data
+    walker = IterateWalker(2, space.dimension)
+    for p, count in prefix:
+        walker.push_run(p, count)
+    rhos = range(1, space.dimension + 1)
+    block_max, end = _block_seminorm_max(walker, runs, level, rhos, space)
+    twin = walker.copy()
+    expected = {rho: F(0) for rho in rhos}
+    for p, count in runs:
+        for _ in range(count):
+            twin.push(p)
+            for rho in rhos:
+                expected[rho] = max(expected[rho], space.seminorm(rho, twin.value(level)))
+    assert block_max == expected
+    assert (end.j, end.values) == (twin.j, twin.values)
 
 
 def test_assign_rejects_bad_prefix(line, lattice1, cache):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro.kernel import apply_iterate_oracle
-from cesaro.sequences import IterateWalker, RunSeq, iterate_at
+from cesaro.sequences import IterateWalker, RunProbes, RunSeq, iterate_at
 from cesaro.space import padd, psub
 
 F = Fraction
@@ -142,3 +142,57 @@ def test_mixed_dimensions_rejected():
     with pytest.raises(ValueError):
         seq.append((F(2), F(5)), 3)
     assert len(seq) == 1
+
+
+@st.composite
+def walker_and_run(draw):
+    """A level-2 walker past a prefix, resumed inside a run of p or not, and one run of p."""
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[small_fraction] * d)
+    prefix = draw(st.lists(st.tuples(point, st.integers(1, 40)), min_size=1, max_size=3))
+    p = prefix[-1][0] if draw(st.booleans()) else draw(point)
+    return d, prefix, p, draw(st.integers(1, 300))
+
+
+def is_monotone(values):
+    pairs = list(zip(values, values[1:]))
+    return all(x <= y for x, y in pairs) or all(x >= y for x, y in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walker_and_run(), st.integers(1, 2))
+def test_run_cuts_bound_monotone_pieces(data, level):
+    d, prefix, p, count = data
+    walker = IterateWalker(2, d)
+    for q, c in prefix:
+        walker.push_run(q, c)
+    a, before = walker.j, walker.values
+    twin = walker.copy()
+    states = {a: list(twin.values)}
+    for _ in range(count):
+        twin.push(p)
+        states[twin.j] = list(twin.values)
+    run = RunProbes(walker, p, count)
+    cuts = run.cuts(level)
+    assert cuts[0] == a and cuts[-1] == a + count
+    assert all(s < t for s, t in zip(cuts, cuts[1:]))
+    assert len(cuts) <= 2 + (d if level == 2 else 0)
+    for s, t in zip(cuts, cuts[1:]):
+        for i in range(d):
+            assert is_monotone([states[j][level - 1][i] for j in range(s, t + 1)])
+    for j in cuts:
+        assert run.at(j).values == states[j]
+    assert walker.j == a and walker.values == before
+
+
+def test_run_cuts_every_index_above_level_two():
+    walker = IterateWalker(3, 1)
+    walker.push_run((F(2),), 5)
+    walker.push((F(-1),))
+    run = RunProbes(walker, (F(4),), 40)
+    assert run.cuts(3) == list(range(6, 47))
+    assert run.cuts(1) == [6, 46]
+    with pytest.raises(ValueError):
+        RunProbes(IterateWalker(2, 1), (F(1),), 3)
+    with pytest.raises(ValueError):
+        run.at(47)
