@@ -21,7 +21,7 @@ from .kernel import (
     default_cache,
 )
 from .sequences import IterateWalker, RunProbes, RunSeq
-from .space import Space
+from .space import Space, padd, pcombine, pscale, pzero
 
 MAX_STORED_COUNTEREXAMPLES = 25
 
@@ -194,13 +194,11 @@ def audit_kernel(k_max: int, n_max: int, cache: KernelCache | None = None) -> Au
                 weights = convexity_expansion(k, n, a)
                 ok = all(w >= 0 for w in weights.values()) and sum(weights.values()) == 1
                 prefix = [(random_fraction(rng),) for _ in range(n + a)]
-                acc = (ZERO,)
-                for basis, w in weights.items():
-                    if basis[0] == "T":
-                        val = apply_iterate(basis[1], prefix, n, cache)
-                    else:
-                        val = prefix[basis[1] - 1]
-                    acc = (acc[0] + w * val[0],)
+                acc = pcombine((
+                    (w, apply_iterate(basis[1], prefix, n, cache) if basis[0] == "T"
+                     else prefix[basis[1] - 1])
+                    for basis, w in weights.items()
+                ), 1)
                 ok = ok and acc == apply_iterate(k, prefix, n + a, cache)
                 report.record(ok, {"check": "convex_expansion", "k": k, "n": n, "a": a})
     return report
@@ -249,13 +247,13 @@ def audit_abel(samples: int = 200, seed: int = 0, dimension: int = 2,
         vectors = [tuple(random_fraction(rng) for _ in range(dimension)) for _ in range(lam)]
         partial = [vectors[0]]
         for b in vectors[1:]:
-            partial.append(tuple(x + y for x, y in zip(partial[-1], b)))
+            partial.append(padd(partial[-1], b))
         ok = True
         for rho in range(1, dimension + 1):
             bound = max(space.seminorm(rho, p) for p in partial)
-            acc = (ZERO,) * dimension
+            acc = pzero(dimension)
             for a_t, b_t in zip(coeffs, vectors):
-                acc = tuple(x + a_t * y for x, y in zip(acc, b_t))
+                acc = padd(acc, pscale(a_t, b_t))
                 if space.seminorm(rho, acc) > coeffs[0] * bound:
                     ok = False
         report.record(ok, {

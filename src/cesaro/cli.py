@@ -26,8 +26,8 @@ from .construct import (
 )
 from .errors import BudgetExceededError, CertificationError, CesaroError, CoverageError
 from .exact import decstr, frac, fracstr
-from .kernel import KernelCache
-from .space import GroundSet, IndexSet, Space
+from .kernel import DEFAULT_K_MAX, DEFAULT_N_MAX, KernelCache
+from .space import GroundSet, IndexSet, Space, point
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,10 +53,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _point_cfg(raw):
-    return tuple(frac(c) for c in raw)
-
-
 # top-level config keys every construct mode reads; `seed` is accepted and
 # ignored, since the constructions draw no random numbers.  Each mode's own
 # keys are registered with its handler by `_mode`.
@@ -75,6 +71,8 @@ def _mode(name: str, *keys: str):
 def load_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     if cfg.get("schema") != CONFIG_SCHEMA:
         raise ValueError(f"config schema must be {CONFIG_SCHEMA}")
     return cfg
@@ -88,31 +86,39 @@ def check_config_keys(cfg: dict, mode: str) -> None:
         raise ValueError(f"unknown config keys for mode {mode}: {', '.join(unknown)}")
 
 
+def _section(cfg: dict, key: str, default: dict) -> dict:
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be an object")
+    return value
+
+
 def space_from_config(cfg: dict) -> Space:
-    sp = cfg.get("space", {})
+    sp = _section(cfg, "space", {})
     d = int(sp.get("dimension", 1))
     weights = tuple(frac(w) for w in sp.get("seminorm_weights", ["1"] * d))
     return Space(d, weights)
 
 
 def ground_from_config(cfg: dict, d: int) -> GroundSet:
-    g = cfg.get("ground_set", {"kind": "lattice", "scale": "1"})
-    if g["kind"] == "lattice":
-        return GroundSet.lattice(d, frac(g.get("scale", "1")))
-    return GroundSet.explicit([_point_cfg(p) for p in g["points"]])
+    g = _section(cfg, "ground_set", {"kind": "lattice", "scale": "1"})
+    if g["kind"] == "explicit":
+        return GroundSet.explicit([point(*p) for p in g["points"]])
+    return GroundSet(g["kind"], d, scale=frac(g.get("scale", "1")))
 
 
 def index_set_from_config(cfg: dict) -> IndexSet:
-    idx = cfg.get("index_set", {"kind": "all"})
-    if idx["kind"] == "all":
-        return IndexSet("all")
-    return IndexSet("progression", int(idx.get("offset", 1)), int(idx.get("stride", 1)))
+    idx = _section(cfg, "index_set", {"kind": "all"})
+    if idx["kind"] == "progression":
+        return IndexSet("progression", int(idx.get("offset", 1)), int(idx.get("stride", 1)))
+    return IndexSet(idx["kind"])
 
 
 def budgets_from_config(cfg: dict) -> tuple[KernelCache, int]:
-    b = cfg.get("budgets", {})
+    b = _section(cfg, "budgets", {})
     if "kernel_k_max" in b or "kernel_n_max" in b:
-        cache = KernelCache(int(b.get("kernel_k_max", 6)), int(b.get("kernel_n_max", 400)))
+        cache = KernelCache(int(b.get("kernel_k_max", DEFAULT_K_MAX)),
+                            int(b.get("kernel_n_max", DEFAULT_N_MAX)))
     else:
         cache = KernelCache.from_env()
     return cache, int(b.get("term_cap", DEFAULT_TERM_CAP))
@@ -120,6 +126,8 @@ def budgets_from_config(cfg: dict) -> tuple[KernelCache, int]:
 
 def growth_from_config(raw) -> callable:
     raw = raw or {"kind": "power", "base": 4}
+    if not isinstance(raw, dict):
+        raise ValueError(f"growth must be an object with a kind, got {raw!r}")
     kind = raw.get("kind", "power")
     if kind == "power":
         base = int(raw.get("base", 4))
@@ -232,7 +240,7 @@ def _print_summary(trace: dict, space: Space, epsilon) -> None:
 
 @_mode("thm42", "epsilon", "k", "targets")
 def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    targets = [_point_cfg(t) for t in cfg["targets"]]
+    targets = [point(*t) for t in cfg["targets"]]
     if "k" in cfg and int(cfg["k"]) != len(targets):
         raise ValueError(f"config k={cfg['k']} but {len(targets)} targets are given")
     epsilon = frac(cfg["epsilon"])
@@ -253,7 +261,7 @@ def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
 def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
     epsilon = frac(cfg["epsilon"])
     witness = ConvexWitness(tuple(
-        (frac(c), _point_cfg(p)) for c, p in cfg["witness"]["atoms"]
+        (frac(c), point(*p)) for c, p in cfg["witness"]["atoms"]
     ))
     result = single_target_extend(
         [], witness, epsilon, int(cfg["k"]), space, ground, term_cap
@@ -268,7 +276,7 @@ def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) 
 
 @_mode("thm41", "plan")
 def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    plan = [[_point_cfg(t) for t in entry["targets"]] for entry in cfg["plan"]]
+    plan = [[point(*t) for t in entry["targets"]] for entry in cfg["plan"]]
     result = run_target_plan(plan, index_set, space, ground, cache, term_cap)
     payload = {"schema": 1, "kind": "thm41", "schedule": result.schedule,
                "entries": result.traces}
@@ -285,8 +293,8 @@ def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
 
 @_mode("dense", "dense")
 def _construct_dense(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    dense_cfg = cfg.get("dense", {})
-    enumeration = [_point_cfg(p) for p in dense_cfg["enumeration"]]
+    dense_cfg = _section(cfg, "dense", {})
+    enumeration = [point(*p) for p in dense_cfg["enumeration"]]
     growth = growth_from_config(dense_cfg.get("growth"))
     terms = int(dense_cfg.get("terms", 2000))
     ks = [int(k) for k in dense_cfg.get("ks", [1, 2])]

@@ -37,7 +37,8 @@ from .errors import (
 )
 from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr
 from .kernel import KernelCache, apply_iterate, default_cache
-from .sequences import IterateWalker, RunProbes, RunSeq, iterate_at
+# iterate_at is not called here; perfbench's tracer wraps it as construct.iterate_at
+from .sequences import IterateWalker, RunProbes, RunSeq, iterate_at  # noqa: F401
 from .space import (
     FinitePointSet,
     GroundSet,
@@ -48,6 +49,8 @@ from .space import (
     delta,
     hull_contains,
     padd,
+    pcombine,
+    point,
     pscale,
     psub,
     pzero,
@@ -60,8 +63,42 @@ def _point_json(p):
     return [fracstr(c) for c in p]
 
 
-def _point_from_json(raw):
-    return tuple(frac(c) for c in raw)
+def _distance_record(level: int, value: Point, target: Point, space: Space) -> dict:
+    """The trace record of [T^level]_n = value against its target x."""
+    dist = space.metric(value, target)
+    return {
+        "level": level,
+        "target": _point_json(target),
+        "value": _point_json(value),
+        "metric": fracstr(dist),
+        "metric_dec": decstr(dist),
+        "seminorms": [
+            fracstr(space.seminorm(rho, psub(value, target)))
+            for rho in range(1, space.dimension + 1)
+        ],
+    }
+
+
+def _certified_result(walker: IterateWalker, seq: RunSeq, ks, targets, epsilon,
+                      space: Space) -> dict:
+    """The final trace fields: d([T^k]_n, x_k) < epsilon for each level k, at the cursor n.
+
+    Each distance is certified exactly before the record is handed out; the
+    fields are the ones ``replay_trace`` re-derives from the terms.
+    """
+    distances = []
+    for level, target in zip(ks, targets, strict=True):
+        record = _distance_record(level, walker.value(level), target, space)
+        if not frac(record["metric"]) < epsilon:
+            raise CertificationError(f"final metric distance for level {level} not below epsilon")
+        distances.append(record)
+    return {
+        "terms_runs": [[_point_json(p), c] for p, c in seq.runs],
+        "final_index": walker.j,
+        "targets": [_point_json(x) for x in targets],
+        "ks": list(ks),
+        "distances": distances,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +111,7 @@ def dense_example(enumeration, growth):
     ``enumeration`` is an injective list of points with max|coord| of q_j at
     most j; ``growth`` maps block index to a positive nondecreasing length.
     """
-    points = [tuple(frac(c) for c in p) for p in enumeration]
+    points = [point(*p) for p in enumeration]
     if len(set(points)) != len(points):
         raise ValueError("enumeration must be injective")
     for j, p in enumerate(points, start=1):
@@ -114,7 +151,7 @@ class ConvexWitness:
     atoms: tuple  # ((coefficient, point), ...)
 
     def __post_init__(self):
-        atoms = tuple((frac(c), tuple(frac(x) for x in p)) for c, p in self.atoms)
+        atoms = tuple((frac(c), point(*p)) for c, p in self.atoms)
         if not atoms:
             raise ValueError("a convex witness needs at least one atom")
         if any(not (0 < c <= 1) for c, _ in atoms):
@@ -128,11 +165,7 @@ class ConvexWitness:
         return len(self.atoms)
 
     def value(self) -> Point:
-        d = len(self.atoms[0][1])
-        acc = pzero(d)
-        for c, p in self.atoms:
-            acc = padd(acc, pscale(c, p))
-        return acc
+        return pcombine(self.atoms, len(self.atoms[0][1]))
 
     def check_ground(self, ground: GroundSet) -> None:
         for _, p in self.atoms:
@@ -196,9 +229,9 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
                 "multiplicity strayed past 1/m from its weight", m=m, count=c)
 
     x = target.value()
-    x_prime = pzero(space.dimension)
-    for (_, p), c in zip(target.atoms, counts):
-        x_prime = padd(x_prime, pscale(Fraction(c, m), p))
+    x_prime = pcombine(
+        ((Fraction(c, m), p) for (_, p), c in zip(target.atoms, counts)), space.dimension
+    )
     for rho in rhos:
         certify(space.seminorm(rho, psub(x, x_prime)) < epsilon / 3,
                 "rounded target left the eps/3 seminorm ball", rho=rho)
@@ -230,11 +263,8 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
         if space.metric(walker.value(k), x_prime) < threshold:
             n0 = walker.j
 
-    endpoint = walker.value(k)
-    dist_xprime = space.metric(endpoint, x_prime)
-    dist_x = space.metric(endpoint, x)
-    if not dist_x < epsilon:
-        raise CertificationError("extension endpoint missed the target outside epsilon")
+    dist_xprime = space.metric(walker.value(k), x_prime)
+    result = _certified_result(walker, seq, [k], [x], epsilon, space)
     trace = {
         "schema": 1,
         "kind": "lemma33",
@@ -247,22 +277,8 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
         "x_prime": _point_json(x_prime),
         "n0": n0,
         "metric_to_x_prime": fracstr(dist_xprime),
-        "metric_to_x": fracstr(dist_x),
-        "terms_runs": [[_point_json(p), c] for p, c in seq.runs],
-        "final_index": n0,
-        "targets": [_point_json(x)],
-        "ks": [k],
-        "distances": [{
-            "level": k,
-            "target": _point_json(x),
-            "value": _point_json(endpoint),
-            "metric": fracstr(dist_x),
-            "metric_dec": decstr(dist_x),
-            "seminorms": [
-                fracstr(space.seminorm(rho, psub(endpoint, x)))
-                for rho in range(1, space.dimension + 1)
-            ],
-        }],
+        "metric_to_x": result["distances"][0]["metric"],
+        **result,
     }
     return ExtendResult(seq=seq, new_terms=new_terms, n0=n0, trace=trace)
 
@@ -633,9 +649,7 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
 
         # postcondition (a): endpoint lands within eps/3 per important seminorm
         endpoint = walker.value(level)
-        recon = s_value
-        for j in range(mu):
-            recon = padd(recon, pscale(gammas[j], atoms[j]))
+        recon = padd(s_value, pcombine(zip(gammas, atoms), d))
         if endpoint != recon:
             raise CertificationError(f"stage {i}: weight bookkeeping disagrees with the iterate")
         for rho in rhos:
@@ -778,7 +792,7 @@ def simultaneous_construct(prefix, targets, epsilon, index_set: IndexSet,
     epsilon = frac(epsilon)
     if not (0 < epsilon < Fraction(1, 2)):
         raise ValueError("epsilon must lie in (0, 1/2)")
-    targets = [space.check_point(tuple(frac(c) for c in x)) for x in targets]
+    targets = [space.check_point(point(*x)) for x in targets]
     k = len(targets)
     if k < 1:
         raise ValueError("need at least one target")
@@ -817,24 +831,6 @@ def simultaneous_construct(prefix, targets, epsilon, index_set: IndexSet,
         raise CertificationError("final index left the admissible set")
     walker = IterateWalker(k, space.dimension)
     walker.push_seq(seq)
-    distances = []
-    for i in range(1, k + 1):
-        value = walker.value(i)
-        dist = space.metric(value, targets[i - 1])
-        if not dist < epsilon:
-            raise CertificationError(f"final metric distance for level {i} not below epsilon")
-        distances.append({
-            "level": i,
-            "target": _point_json(targets[i - 1]),
-            "value": _point_json(value),
-            "metric": fracstr(dist),
-            "metric_dec": decstr(dist),
-            "seminorms": [
-                fracstr(space.seminorm(rho, psub(value, targets[i - 1])))
-                for rho in range(1, space.dimension + 1)
-            ],
-        })
-
     trace = {
         "schema": 1,
         "kind": "thm42",
@@ -842,7 +838,6 @@ def simultaneous_construct(prefix, targets, epsilon, index_set: IndexSet,
         "k": k,
         "space": {"dimension": space.dimension,
                   "weights": [fracstr(w) for w in space.weights]},
-        "targets": [_point_json(x) for x in targets],
         "stabilizer": _point_json(a),
         "prefix_length": rho0,
         "v1": v1,
@@ -853,10 +848,7 @@ def simultaneous_construct(prefix, targets, epsilon, index_set: IndexSet,
         "chain_intervals": [[fracstr(c), fracstr(d)] for c, d in chain.intervals],
         "chain_sizes": [len(s) for s in chain.sets],
         "stages": [s.to_json() for s in stages],
-        "terms_runs": [[_point_json(p), c] for p, c in seq.runs],
-        "final_index": n,
-        "distances": distances,
-        "ks": list(range(1, k + 1)),
+        **_certified_result(walker, seq, range(1, k + 1), targets, epsilon, space),
     }
     return SimultaneousResult(n=n, seq=seq, new_terms_start=rho0, trace=trace)
 
@@ -914,12 +906,14 @@ def unit_interval_check(values, n: int, cache: KernelCache | None = None) -> dic
     if not (1 <= n <= len(vals)):
         raise ValueError("index outside the prefix")
     cache = cache or default_cache()
-    seq = RunSeq([((x,), 1) for x in vals[:n]])
-    t1 = iterate_at(1, seq, n)[0]
+    walker = IterateWalker(2, 1)
+    for x in vals[:n]:
+        walker.push((x,))
+    t1 = walker.value(1)[0]
     report = {"n": n, "t1": fracstr(t1), "triggered": bool(t1 < Fraction(1, 8))}
     if not report["triggered"]:
         return report
-    t2 = iterate_at(2, seq, n)[0]
+    t2 = walker.value(2)[0]
     small = sum(1 for x in vals[:n] if x < Fraction(1, 4))
     tail = sum(cache.row_tail(2, n, n // 2 + 1), ZERO)
     report.update({
@@ -941,31 +935,30 @@ def unit_interval_check(values, n: int, cache: KernelCache | None = None) -> dic
 # ---------------------------------------------------------------------------
 
 def seq_from_trace(trace: dict) -> RunSeq:
-    return RunSeq((_point_from_json(p), count) for p, count in trace["terms_runs"])
+    return RunSeq((point(*p), count) for p, count in trace["terms_runs"])
 
 
 def replay_trace(trace: dict, space: Space, cache: KernelCache | None = None) -> dict:
-    """Recompute the recorded distances from the recorded terms; must match exactly.
+    """Rebuild the recorded distance records from the recorded terms; they must match whole.
 
-    Uses the independent running-averages evaluator, and additionally the
-    kernel-row path whenever the final index fits the cache budget.
+    One walker over the terms gives every level's value at the final index,
+    and ``_distance_record`` rebuilds each record from it: ``matches`` is
+    True only if every rebuilt record (value, metric and seminorms alike)
+    equals the recorded one.  Whenever the final index fits the cache
+    budget, the kernel-row path is a second opinion on each value.
     """
     cache = cache or default_cache()
     seq = seq_from_trace(trace)
     n = trace["final_index"]
-    out = {"final_index": n, "matches": True, "distances": []}
-    targets = [_point_from_json(x) for x in trace["targets"]]
     walker = IterateWalker(max(trace["ks"]), seq.dimension)
     walker.push_seq(seq, n)
-    for idx, k in enumerate(trace["ks"]):
+    records = []
+    for k, target in zip(trace["ks"], trace["targets"], strict=True):
         value = walker.value(k)
         if n <= cache.n_max and k <= cache.k_max:
             direct = apply_iterate(k, list(seq.iter_points()), n, cache)
             if direct != value:
                 raise CertificationError("kernel-row replay disagrees with the oracle path")
-        dist = fracstr(space.metric(value, targets[idx]))
-        out["distances"].append(dist)
-    recorded = [d["metric"] for d in trace["distances"]]
-    if recorded != out["distances"]:
-        out["matches"] = False
-    return out
+        records.append(_distance_record(k, value, point(*target), space))
+    return {"final_index": n, "matches": records == trace["distances"],
+            "distances": [r["metric"] for r in records]}

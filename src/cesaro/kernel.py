@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, certify
 from .exact import ZERO
+from .space import padd, pcombine, pscale, pzero
 
 DEFAULT_K_MAX = 6
 DEFAULT_N_MAX = 400
@@ -125,14 +126,6 @@ def default_cache() -> KernelCache:
     return _default_cache
 
 
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def _vscale(c, a):
-    return tuple(c * x for x in a)
-
-
 def apply_iterate(k, prefix, n, cache: KernelCache | None = None):
     """[T^k(theta)]_n as the kernel-row weighted sum of the first n terms.
 
@@ -143,12 +136,7 @@ def apply_iterate(k, prefix, n, cache: KernelCache | None = None):
     if k == 0:
         return prefix[n - 1]
     cache = cache or default_cache()
-    row = cache.row(k, n)
-    d = len(prefix[0])
-    acc = (ZERO,) * d
-    for m in range(n):
-        acc = _vadd(acc, _vscale(row[m], prefix[m]))
-    return acc
+    return pcombine(zip(cache.row(k, n), prefix), len(prefix[0]))
 
 
 def apply_iterate_oracle(k, prefix, n):
@@ -158,11 +146,11 @@ def apply_iterate_oracle(k, prefix, n):
     values = list(prefix[:n])
     d = len(values[0])
     for _ in range(k):
-        acc = (ZERO,) * d
+        acc = pzero(d)
         out = []
         for j, v in enumerate(values, start=1):
-            acc = _vadd(acc, v)
-            out.append(_vscale(Fraction(1, j), acc))
+            acc = padd(acc, v)
+            out.append(pscale(Fraction(1, j), acc))
         values = out
     return values[n - 1]
 
@@ -205,13 +193,12 @@ def recurrence_check(k, prefix, n, a, cache: KernelCache | None = None) -> Check
         raise ValueError("need n, a >= 1 and n + a within the prefix")
     cache = cache or default_cache()
     lhs = apply_iterate(k, prefix, n + a, cache)
-    d = len(prefix[0])
-    acc = (ZERO,) * d
+    acc = pzero(len(prefix[0]))
     for j in range(1, a + 1):
-        acc = _vadd(acc, apply_iterate(k - 1, prefix, n + j, cache))
-    rhs = _vadd(
-        _vscale(Fraction(n, n + a), apply_iterate(k, prefix, n, cache)),
-        _vscale(Fraction(1, n + a), acc),
+        acc = padd(acc, apply_iterate(k - 1, prefix, n + j, cache))
+    rhs = padd(
+        pscale(Fraction(n, n + a), apply_iterate(k, prefix, n, cache)),
+        pscale(Fraction(1, n + a), acc),
     )
     if lhs == rhs:
         return CheckResult(True)

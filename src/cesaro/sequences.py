@@ -25,7 +25,7 @@ unimodal) are cut at every index.
 from fractions import Fraction
 from math import lcm
 
-from .space import Point, padd, pscale, pzero
+from .space import Point, padd, pcombine, pscale, pzero
 
 
 class RunSeq:
@@ -81,10 +81,7 @@ class RunSeq:
 
     def prefix_sum(self) -> Point:
         """Sum of all terms (vector)."""
-        acc = pzero(self.dimension)
-        for p, c in self.runs:
-            acc = padd(acc, pscale(c, p))
-        return acc
+        return pcombine(((c, p) for p, c in self.runs), self.dimension)
 
 
 # Index ranges up to this length are multiplied out term by term; longer ones

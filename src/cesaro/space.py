@@ -36,6 +36,14 @@ def pscale(c, a: Point) -> Point:
     return tuple(c * x for x in a)
 
 
+def pcombine(pairs, d: int) -> Point:
+    """The sum of c * p over the (c, p) pairs, starting from the zero point of dimension d."""
+    acc = pzero(d)
+    for c, p in pairs:
+        acc = padd(acc, pscale(c, p))
+    return acc
+
+
 def n_epsilon(epsilon) -> int:
     """Count of epsilon-important seminorms: smallest N with 2^-(N-1) < epsilon."""
     epsilon = frac(epsilon)
@@ -123,7 +131,7 @@ class FinitePointSet:
     corner_radius: Fraction | None = None
 
     def __post_init__(self):
-        pts = tuple(tuple(frac(c) for c in p) for p in self.points)
+        pts = tuple(point(*p) for p in self.points)
         if not pts:
             raise ValueError("point set must be nonempty")
         if len(set(pts)) != len(pts):
@@ -190,7 +198,7 @@ class GroundSet:
                 raise ValueError("lattice scale must be positive")
             object.__setattr__(self, "scale", q)
         elif self.kind == "explicit":
-            pts = tuple(tuple(frac(c) for c in p) for p in (self.points or ()))
+            pts = tuple(point(*p) for p in (self.points or ()))
             if not pts:
                 raise ValueError("explicit ground set needs points")
             object.__setattr__(self, "points", pts)
@@ -203,7 +211,7 @@ class GroundSet:
 
     @classmethod
     def explicit(cls, points) -> "GroundSet":
-        pts = tuple(tuple(frac(c) for c in p) for p in points)
+        pts = tuple(point(*p) for p in points)
         return cls(kind="explicit", dimension=len(pts[0]), points=pts)
 
     def contains(self, p: Point) -> bool:
@@ -211,7 +219,7 @@ class GroundSet:
             return False
         if self.kind == "lattice":
             return all((frac(c) * self.scale).denominator == 1 for c in p)
-        return tuple(frac(c) for c in p) in self.points
+        return point(*p) in self.points
 
     def ceil_value(self, x) -> Fraction:
         """Smallest lattice-representable value >= x (lattice kind only)."""
@@ -276,11 +284,7 @@ class HullWitness:
     residual: Point
 
     def combination(self) -> Point:
-        d = len(self.points[0])
-        acc = pzero(d)
-        for g, p in zip(self.coefficients, self.points):
-            acc = padd(acc, pscale(g, p))
-        return acc
+        return pcombine(zip(self.coefficients, self.points), len(self.points[0]))
 
 
 def _residual_caps(space: Space, slack: Fraction) -> list:

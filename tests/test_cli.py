@@ -9,6 +9,10 @@ import pytest
 
 from cesaro import cli
 from cesaro.cli import check_config_keys, growth_from_config, load_config, main
+from cesaro.construct import replay_trace
+from cesaro.space import Space
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 THM42_CFG = {
     "schema": 1,
@@ -61,6 +65,13 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def construct_trace(tmp_path, mode, cfg):
+    out_dir = tmp_path / "run"
+    assert main(["construct", "--mode", mode, "--config", str(cfg),
+                 "--out-dir", str(out_dir)]) == 0
+    return json.loads((out_dir / "trace.json").read_text())
+
+
 def test_kernel_csv(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["kernel", "--k", "2", "--n", "3", "--out", str(out)]) == 0
@@ -108,6 +119,28 @@ def test_dense_output_bytes_pinned(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "density.json").read_bytes()).hexdigest()
     assert digest == "a4d0aec07c0aaabc57d048707024640682fab4cf71909b32ce18a803fa94ea35"
+
+
+@pytest.mark.parametrize("mode, config, trace_digest, csv_digest", [
+    ("thm42", "simultaneous.json",
+     "b732f917b74eb00ebc88f8140573b068ca5c916567aed982be5524953e96f9e0",
+     "5aa190075a454f4bf9f2bbaee8ee67aff413ea4db32f16aef17529a4ddb061d3"),
+    ("lemma33", "single-target.json",
+     "4753e2dd2afdb22f8844a8470270af0834ed93986ce45a36338f9330632cbfa8",
+     "d936c7e6a384c61064ca9fe1ebbc0a7e47beecbf61c9acc22e8ec88c7e2bffc6"),
+    ("thm41", "plan.json",
+     "9e86e51ab71bb5512ba3f469f21dd05eaf2232eb94da11896387db00faa1bd58",
+     "528b4fd0fa695ae13f8888c1c99e2aa4640f714d44341ffc782acd9037b8dfbf"),
+])
+def test_construct_output_bytes_pinned(tmp_path, monkeypatch, mode, config,
+                                       trace_digest, csv_digest):
+    # digests recorded while lemma33 and thm42 still serialized their final
+    # distances each with its own code
+    monkeypatch.delenv("CESARO_CACHE_BUDGET", raising=False)
+    assert main(["construct", "--mode", mode, "--config", str(CONFIGS / config),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "trace.json").read_bytes()).hexdigest() == trace_digest
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == csv_digest
 
 
 def test_kernel_budget_exit(monkeypatch, capsys):
@@ -175,17 +208,24 @@ def test_construct_simultaneous_mode_budget_exit(tmp_path, capsys):
 
 
 def test_trace_file_replays(tmp_path):
-    from cesaro.construct import replay_trace
-    from cesaro.space import Space
-
-    cfg = write_cfg(tmp_path, THM42_CFG)
-    out_dir = tmp_path / "run"
-    assert main(["construct", "--mode", "thm42", "--config", cfg,
-                 "--out-dir", str(out_dir)]) == 0
-    trace = json.loads((out_dir / "trace.json").read_text())
+    trace = construct_trace(tmp_path, "thm42", write_cfg(tmp_path, THM42_CFG))
     replay = replay_trace(trace, Space(1))
     assert replay["matches"]
     assert replay["distances"] == [d["metric"] for d in trace["distances"]]
+
+
+def test_lemma33_trace_replays(tmp_path):
+    trace = construct_trace(tmp_path, "lemma33", CONFIGS / "single-target.json")
+    assert replay_trace(trace, Space(1))["matches"]
+
+
+@pytest.mark.parametrize("field", ["value", "seminorms"])
+def test_replay_compares_whole_records(tmp_path, field):
+    trace = construct_trace(tmp_path, "thm42", write_cfg(tmp_path, THM42_CFG))
+    trace["distances"][0][field][0] = "7"  # the recorded metric is left as it was
+    replay = replay_trace(trace, Space(1))
+    assert replay["distances"] == [d["metric"] for d in trace["distances"]]
+    assert not replay["matches"]
 
 
 def test_construct_single_target_mode(tmp_path):
@@ -310,6 +350,23 @@ def test_shipped_configs_pass_key_check():
     assert sorted(p.name for p in configs.glob("*.json")) == sorted(modes)
     for name, mode in modes.items():
         check_config_keys(load_config(configs / name), mode)
+
+
+@pytest.mark.parametrize("mode, payload, message", [
+    ("thm42", [THM42_CFG], "config must be a JSON object"),
+    ("thm42", {**THM42_CFG, "ground_set": {"kind": "latice", "scale": "1"}},
+     "unknown ground set kind 'latice'"),
+    ("thm42", {**THM42_CFG, "index_set": {"kind": "al"}}, "unknown index set kind 'al'"),
+    ("thm42", {**THM42_CFG, "budgets": []}, "'budgets' must be an object"),
+    ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "growth": "power"}},
+     "growth must be an object"),
+], ids=["array", "ground-kind-typo", "index-kind-typo", "budgets-array", "growth-string"])
+def test_config_shape_errors_exit_1(tmp_path, capsys, mode, payload, message):
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["construct", "--mode", mode, "--config", cfg,
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_bad_config_schema(tmp_path):
