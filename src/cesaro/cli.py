@@ -86,42 +86,79 @@ def check_config_keys(cfg: dict, mode: str) -> None:
         raise ValueError(f"unknown config keys for mode {mode}: {', '.join(unknown)}")
 
 
-def _section(cfg: dict, key: str, default: dict) -> dict:
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
+# A config value of the wrong JSON type is a config error (exit 1), like a
+# malformed one; these readers raise a ValueError that names its key.
+
+def _object(raw, key: str) -> dict:
+    if not isinstance(raw, dict):
         raise ValueError(f"config key {key!r} must be an object")
-    return value
+    return raw
+
+
+def _section(cfg: dict, key: str, default: dict) -> dict:
+    return _object(cfg.get(key, default), key)
+
+
+def _list(raw, key: str) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"config key {key!r} must be a list, got {raw!r}")
+    return raw
+
+
+def _rational(raw, key: str) -> Fraction:
+    """An exact number: an integer or a string such as '1/4' (a JSON float is refused)."""
+    try:
+        return frac(raw)
+    except TypeError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
+def _integer(raw, key: str) -> int:
+    try:
+        return int(raw)
+    except TypeError:
+        raise ValueError(f"config key {key!r} must be an integer, got {raw!r}") from None
+
+
+def _point(raw, key: str):
+    return point(*(_rational(c, key) for c in _list(raw, key)))
+
+
+def _points(raw, key: str) -> list:
+    return [_point(p, key) for p in _list(raw, key)]
 
 
 def space_from_config(cfg: dict) -> Space:
     sp = _section(cfg, "space", {})
-    d = int(sp.get("dimension", 1))
-    weights = tuple(frac(w) for w in sp.get("seminorm_weights", ["1"] * d))
+    d = _integer(sp.get("dimension", 1), "dimension")
+    weights = tuple(_rational(w, "seminorm_weights")
+                    for w in _list(sp.get("seminorm_weights", ["1"] * d), "seminorm_weights"))
     return Space(d, weights)
 
 
 def ground_from_config(cfg: dict, d: int) -> GroundSet:
     g = _section(cfg, "ground_set", {"kind": "lattice", "scale": "1"})
     if g["kind"] == "explicit":
-        return GroundSet.explicit([point(*p) for p in g["points"]])
-    return GroundSet(g["kind"], d, scale=frac(g.get("scale", "1")))
+        return GroundSet.explicit(_points(g["points"], "points"))
+    return GroundSet(g["kind"], d, scale=_rational(g.get("scale", "1"), "scale"))
 
 
 def index_set_from_config(cfg: dict) -> IndexSet:
     idx = _section(cfg, "index_set", {"kind": "all"})
     if idx["kind"] == "progression":
-        return IndexSet("progression", int(idx.get("offset", 1)), int(idx.get("stride", 1)))
+        return IndexSet("progression", _integer(idx.get("offset", 1), "offset"),
+                        _integer(idx.get("stride", 1), "stride"))
     return IndexSet(idx["kind"])
 
 
 def budgets_from_config(cfg: dict) -> tuple[KernelCache, int]:
     b = _section(cfg, "budgets", {})
     if "kernel_k_max" in b or "kernel_n_max" in b:
-        cache = KernelCache(int(b.get("kernel_k_max", DEFAULT_K_MAX)),
-                            int(b.get("kernel_n_max", DEFAULT_N_MAX)))
+        cache = KernelCache(_integer(b.get("kernel_k_max", DEFAULT_K_MAX), "kernel_k_max"),
+                            _integer(b.get("kernel_n_max", DEFAULT_N_MAX), "kernel_n_max"))
     else:
         cache = KernelCache.from_env()
-    return cache, int(b.get("term_cap", DEFAULT_TERM_CAP))
+    return cache, _integer(b.get("term_cap", DEFAULT_TERM_CAP), "term_cap")
 
 
 def growth_from_config(raw) -> callable:
@@ -130,10 +167,10 @@ def growth_from_config(raw) -> callable:
         raise ValueError(f"growth must be an object with a kind, got {raw!r}")
     kind = raw.get("kind", "power")
     if kind == "power":
-        base = int(raw.get("base", 4))
+        base = _integer(raw.get("base", 4), "base")
         return lambda n: base**n
     if kind == "constant":
-        value = int(raw.get("value", 1))
+        value = _integer(raw.get("value", 1), "value")
         return lambda n: value
     if kind == "linear":
         return lambda n: n
@@ -240,10 +277,10 @@ def _print_summary(trace: dict, space: Space, epsilon) -> None:
 
 @_mode("thm42", "epsilon", "k", "targets")
 def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    targets = [point(*t) for t in cfg["targets"]]
-    if "k" in cfg and int(cfg["k"]) != len(targets):
+    targets = _points(cfg["targets"], "targets")
+    if "k" in cfg and _integer(cfg["k"], "k") != len(targets):
         raise ValueError(f"config k={cfg['k']} but {len(targets)} targets are given")
-    epsilon = frac(cfg["epsilon"])
+    epsilon = _rational(cfg["epsilon"], "epsilon")
     result = simultaneous_construct(
         [], targets, epsilon, index_set, space, ground, cache, term_cap
     )
@@ -259,12 +296,12 @@ def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
 
 @_mode("lemma33", "epsilon", "k", "witness")
 def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    epsilon = frac(cfg["epsilon"])
-    witness = ConvexWitness(tuple(
-        (frac(c), point(*p)) for c, p in cfg["witness"]["atoms"]
-    ))
+    epsilon = _rational(cfg["epsilon"], "epsilon")
+    atoms = [_list(atom, "atoms")
+             for atom in _list(_section(cfg, "witness", {})["atoms"], "atoms")]
+    witness = ConvexWitness(tuple((_rational(c, "atoms"), _point(p, "atoms")) for c, p in atoms))
     result = single_target_extend(
-        [], witness, epsilon, int(cfg["k"]), space, ground, term_cap
+        [], witness, epsilon, _integer(cfg["k"], "k"), space, ground, term_cap
     )
     trace = result.trace
     _write_text(out_dir / "trace.json", _json_text(trace))
@@ -276,7 +313,8 @@ def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) 
 
 @_mode("thm41", "plan")
 def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    plan = [[point(*t) for t in entry["targets"]] for entry in cfg["plan"]]
+    plan = [_points(_object(entry, "plan")["targets"], "targets")
+            for entry in _list(cfg["plan"], "plan")]
     result = run_target_plan(plan, index_set, space, ground, cache, term_cap)
     payload = {"schema": 1, "kind": "thm41", "schedule": result.schedule,
                "entries": result.traces}
@@ -294,11 +332,12 @@ def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
 @_mode("dense", "dense")
 def _construct_dense(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
     dense_cfg = _section(cfg, "dense", {})
-    enumeration = [point(*p) for p in dense_cfg["enumeration"]]
+    enumeration = _points(dense_cfg["enumeration"], "enumeration")
     growth = growth_from_config(dense_cfg.get("growth"))
-    terms = int(dense_cfg.get("terms", 2000))
-    ks = [int(k) for k in dense_cfg.get("ks", [1, 2])]
-    target_count = int(dense_cfg.get("target_count", min(5, len(enumeration))))
+    terms = _integer(dense_cfg.get("terms", 2000), "terms")
+    ks = [_integer(k, "ks") for k in _list(dense_cfg.get("ks", [1, 2]), "ks")]
+    target_count = _integer(dense_cfg.get("target_count", min(5, len(enumeration))),
+                            "target_count")
     targets = enumeration[:target_count]
     seq = take_prefix(dense_example(enumeration, growth), terms)
     table = audit_mod.audit_density(seq, targets, ks, space)

@@ -35,7 +35,7 @@ from .errors import (
     SchedulingError,
     certify,
 )
-from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr
+from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr, pow2
 from .kernel import KernelCache, apply_iterate, default_cache
 # iterate_at is not called here; perfbench's tracer wraps it as construct.iterate_at
 from .sequences import IterateWalker, RunProbes, RunSeq, iterate_at  # noqa: F401
@@ -174,6 +174,58 @@ class ConvexWitness:
 
 
 # ---------------------------------------------------------------------------
+# certified first hits
+# ---------------------------------------------------------------------------
+
+def _first_hit(walker: IterateWalker, seq: RunSeq, pattern, levels, target: Point, tol,
+               space: Space, first: int, last: int) -> bool:
+    """Repeat ``pattern`` until the first index j >= first with every level metric-within tol.
+
+    ``pattern`` is a cyclic list of (point, count) runs whose cycle starts
+    at the walker's cursor; each pushed run is appended to ``seq`` too.
+    Returns True with the cursor at that first hit, or False with the cursor
+    at index ``last`` when no index up to it hits.
+
+    Every iterate stays in the coordinate box of the terms, so a step from
+    index i to i + 1 moves [T^c] by at most width_r/(i + 1) in coordinate r,
+    and the metric to a fixed point by at most L/(i + 1), with
+    L = sum_r 2^-r * w_r * width_r (each metric term is 1-Lipschitz in its
+    seminorm).  A level failing at j with d_j >= tol therefore still fails
+    at j + t for every t <= s = floor((d_j - tol)(j + 1)/L), and those
+    indices are pushed as whole runs without being evaluated.
+    """
+    origin = walker.j
+    period = sum(c for _, c in pattern)
+    terms = [p for p, _ in seq.runs] + [p for p, _ in pattern]
+    lipschitz = sum((pow2(r) * w * (max(p[r - 1] for p in terms) - min(p[r - 1] for p in terms))
+                     for r, w in enumerate(space.weights, start=1)), ZERO)
+    while True:
+        step = 1
+        if walker.j:
+            worst = max(space.metric(walker.value(c), target) for c in levels)
+            if worst < tol and walker.j >= first:
+                return True
+            if worst >= tol and lipschitz:
+                step = floor_frac((worst - tol) * (walker.j + 1) / lipschitz) + 1
+        if walker.j >= last:
+            return False
+        step = min(step, last - walker.j)
+        while step:  # the rest of the cycle's current run; a one-run cycle never ends
+            i, rest = 0, (walker.j - origin) % period
+            while rest >= pattern[i][1]:
+                rest -= pattern[i][1]
+                i += 1
+            p = pattern[i][0]
+            count = step if len(pattern) == 1 else min(pattern[i][1] - rest, step)
+            if count == 1:
+                walker.push(p)
+            else:
+                walker.push_run(p, count)
+            seq.append(p, count)
+            step -= count
+
+
+# ---------------------------------------------------------------------------
 # single-target extension by a repeating tuple
 # ---------------------------------------------------------------------------
 
@@ -238,30 +290,21 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
     certify(space.metric(x, x_prime) < 2 * epsilon / 3,
             "rounded target left the 2eps/3 metric ball")
 
-    pattern = []
-    for (_, p), c in zip(target.atoms, counts):
-        pattern.extend([p] * c)
-
+    pattern = [(p, c) for (_, p), c in zip(target.atoms, counts) if c]
     walker = IterateWalker(k, space.dimension)
     walker.push_seq(seq)
-    new_terms = []
-    n0 = None  # always past the given prefix: at least one term is appended
-    threshold = epsilon / 3
-    idx = 0
-    while n0 is None:
-        if len(new_terms) >= term_cap:
-            raise BudgetExceededError(
-                "term_cap", "iterate did not enter the eps/3 ball before the cap",
-                appended=len(new_terms), term_cap=term_cap,
-                current_metric=fracstr(space.metric(walker.value(k), x_prime)),
-            )
-        p = pattern[idx % m]
-        idx += 1
-        walker.push(p)
-        seq.append(p)
-        new_terms.append(p)
-        if space.metric(walker.value(k), x_prime) < threshold:
-            n0 = walker.j
+    rho0 = walker.j
+    # n0 is always past the given prefix: at least one term is appended
+    if not _first_hit(walker, seq, pattern, [k], x_prime, epsilon / 3, space,
+                      rho0 + 1, rho0 + term_cap):
+        raise BudgetExceededError(
+            "term_cap", "iterate did not enter the eps/3 ball before the cap",
+            appended=walker.j - rho0, term_cap=term_cap,
+            current_metric=fracstr(space.metric(walker.value(k), x_prime)),
+        )
+    n0 = walker.j
+    cycle = [p for p, c in pattern for _ in range(c)]
+    new_terms = [cycle[i % m] for i in range(n0 - rho0)]
 
     dist_xprime = space.metric(walker.value(k), x_prime)
     result = _certified_result(walker, seq, [k], [x], epsilon, space)
@@ -724,10 +767,11 @@ def _level1_requirement(seq: RunSeq, a: Point, tol, space: Space) -> int:
 def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) -> int:
     """Append copies of `a` until every level's iterate is metric-within tol of a.
 
-    Returns v1 (the certified length).  Level 1 has a closed form, and no
-    shorter length can pass at level 1, so the walker absorbs the copies up
-    to it in one run before checking each further index; hopeless runs fail
-    loudly and immediately.
+    Returns v1 (the certified length), the first index at which every level
+    passes.  Level 1 has a closed form, and no shorter length can pass at
+    level 1, so the walker absorbs the copies up to it in one run; from
+    there ``_first_hit`` skips the indices at which some level provably
+    still fails.  Hopeless runs fail loudly and immediately.
     """
     rho0 = len(seq)
     level1_v = _level1_requirement(seq, a, tol, space)
@@ -740,20 +784,15 @@ def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) 
     walker.push_seq(seq)
     walker.push_run(a, level1_v - rho0)
     seq.append(a, level1_v - rho0)
-    while True:
-        if all(space.metric(walker.value(level), a) < tol for level in range(1, k + 1)):
-            return walker.j
-        if walker.j >= term_cap:
-            worst = max(
-                space.metric(walker.value(level), a) for level in range(1, k + 1)
-            )
-            raise BudgetExceededError(
-                "term_cap", "stabilization did not converge before the cap",
-                phase="stabilization", appended=walker.j - rho0, term_cap=term_cap,
-                current_metric=fracstr(worst),
-            )
-        walker.push(a)
-        seq.append(a, 1)
+    levels = range(1, k + 1)
+    if _first_hit(walker, seq, [(a, 1)], levels, a, tol, space, walker.j, term_cap):
+        return walker.j
+    worst = max(space.metric(walker.value(level), a) for level in levels)
+    raise BudgetExceededError(
+        "term_cap", "stabilization did not converge before the cap",
+        phase="stabilization", appended=walker.j - rho0, term_cap=term_cap,
+        current_metric=fracstr(worst),
+    )
 
 
 def _build_m0(targets, a: Point, epsilon, space: Space, ground: GroundSet) -> FinitePointSet:

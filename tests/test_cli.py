@@ -369,6 +369,25 @@ def test_config_shape_errors_exit_1(tmp_path, capsys, mode, payload, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("mode, payload, message", [
+    ("thm42", {**THM42_CFG, "epsilon": 0.25}, "'epsilon': refusing to coerce float 0.25"),
+    ("thm42", {**THM42_CFG, "targets": [1]}, "'targets' must be a list, got 1"),
+    ("lemma33", {**LEMMA33_CFG, "witness": {"atoms": [[0.5, ["0"]], ["1/2", ["1"]]]}},
+     "'atoms': refusing to coerce float 0.5"),
+    ("thm41", {**PLAN_CFG, "plan": [[["1"]]]}, "'plan' must be an object"),
+    ("thm42", {**THM42_CFG, "budgets": {"term_cap": [10]}},
+     "'term_cap' must be an integer, got [10]"),
+], ids=["epsilon-float", "target-not-a-list", "atom-weight-float", "plan-entry-array",
+        "term-cap-array"])
+def test_config_type_errors_exit_1(tmp_path, capsys, mode, payload, message):
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["construct", "--mode", mode, "--config", cfg,
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ") and message in err
+    assert not (tmp_path / "run" / "trace.json").exists()
+
+
 def test_bad_config_schema(tmp_path):
     cfg = write_cfg(tmp_path, {"schema": 99})
     assert main(["construct", "--mode", "thm42", "--config", cfg]) == 1

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,70 @@ def test_extend_term_cap(line, lattice1):
     w = ConvexWitness(((F(1, 2), (F(0),)), (F(1, 2), (F(1),))))
     with pytest.raises(BudgetExceededError):
         single_target_extend([], w, F(1, 10), 3, line, lattice1, term_cap=50)
+    # caps inside a skip of the first-hit search (it evaluates 94 and 115,
+    # 986 and 1023, 1500 and 1522, 1999 and 2002) exit exactly as a per-index
+    # loop does, with the metric at the cap index; SHA-256 of that metric
+    pinned = {
+        100: "2d8dbe413386536a52ee981fc983230befbf7d5b6c623176eed15c95ad9b8969",
+        1000: "aac7b8155adcb527f75a9660ab74c595c2ffbb96bb429f75dc94872b007e4829",
+        1510: "8c64f12f8f8a47027a2de9e945016b58dbfbb6c06e70b6edf9837e3d206dec65",
+        2000: "5352678487b845adb8c6d7663f496cfb44313e170d38ba9b40e271dc5b38f6d1",
+    }
+    for cap, digest in pinned.items():
+        with pytest.raises(BudgetExceededError) as exc:
+            single_target_extend([], w, F(1, 10), 3, line, lattice1, term_cap=cap)
+        details = dict(exc.value.details)
+        metric = details.pop("current_metric")
+        assert details == {"appended": cap, "term_cap": cap}
+        assert hashlib.sha256(metric.encode()).hexdigest() == digest
+
+
+def test_extend_k3_midpoint_trace_pinned(line, lattice1):
+    w = ConvexWitness(((F(1, 2), (F(0),)), (F(1, 2), (F(1),))))
+    res = single_target_extend([], w, F(1, 10), 3, line, lattice1)
+    assert res.n0 == 2064
+    digest = hashlib.sha256(json.dumps(res.trace, sort_keys=True).encode()).hexdigest()
+    assert digest == "b065d22647b2d186c0aa7585c654633af1253375c6312bfe43b6d93f17134adc"
+
+
+def _witness_cases():
+    """Seeded lemma 3.3 problems: k = 1..3, dimensions 1 and 2, weighted, prefix or none."""
+    rng = random.Random(33)
+    for k in (1, 2, 3):
+        for d in (1, 2):
+            for prefix_len in (0, 3):
+                space = Space(d, tuple(rng.choice([F(1, 2), F(3, 2)]) for _ in range(d)))
+                grid = [tuple(F(c) for c in p) for p in product((-1, 0, 1), repeat=d)]
+                atoms = rng.sample(grid, 2)
+                weight = F(rng.randint(1, 3), 4)
+                witness = ConvexWitness(((weight, atoms[0]), (1 - weight, atoms[1])))
+                prefix = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+                          for _ in range(prefix_len)]
+                yield k, space, witness, prefix, rng.choice([F(1, 4), F(2, 5)])
+
+
+def test_extend_first_hit_matches_per_index_scan():
+    # n0 is the first index past the prefix at which [T^k] is within eps/3 of
+    # x'; an independent scan pushes the repeated tuple one index at a time
+    for k, space, witness, prefix, eps in _witness_cases():
+        ground = GroundSet.lattice(space.dimension)
+        res = single_target_extend(prefix, witness, eps, k, space, ground)
+        x_prime = point(*res.trace["x_prime"])
+        cycle = [p for (_, p), c in zip(witness.atoms, res.trace["counts"]) for _ in range(c)]
+        scan = IterateWalker(k, space.dimension)
+        for p in prefix:
+            scan.push(p)
+        terms = []
+        while True:
+            terms.append(cycle[len(terms) % len(cycle)])
+            scan.push(terms[-1])
+            if space.metric(scan.value(k), x_prime) < eps / 3:
+                break
+        n0 = len(prefix) + len(terms)
+        assert res.n0 == n0
+        assert res.new_terms == terms
+        assert res.seq.runs == RunSeq([(p, 1) for p in prefix + terms]).runs
+        assert space.metric(iterate_at(k, res.seq, n0), x_prime) < eps / 3
 
 
 # --- chains and partitions ---------------------------------------------------
@@ -358,6 +424,21 @@ def test_stabilize_multilevel_from_prefix():
                 break
             want += 1
         assert v1 == want
+    # caps inside a skip of the first-hit search (the case-5 search evaluates
+    # 21 and 23, the case-6 one 11 and 13, 29 and 31) exit exactly as a
+    # per-index loop does
+    exits = [
+        (5, 22, {"appended": 17,
+                 "current_metric": "1425880334888149571/5059226054982646788"}),
+        (6, 12, {"appended": 7, "current_metric": "20248858543/95822401886"}),
+        (6, 30, {"appended": 25, "current_metric":
+                 "198545297613751037300794489/1373529069705403200492788978"}),
+    ]
+    for case, cap, expected in exits:
+        prefix, a, k, tol = cases[case]
+        with pytest.raises(BudgetExceededError) as exc:
+            _stabilize(RunSeq([(p, 1) for p in prefix]), a, k, tol, Space(len(a)), cap)
+        assert exc.value.details == {"phase": "stabilization", "term_cap": cap, **expected}
 
 
 def test_simultaneous_rejects_bad_epsilon(line, lattice1):
