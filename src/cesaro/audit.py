@@ -8,6 +8,7 @@ bounded.
 
 import random
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -93,9 +94,10 @@ def audit_kernel(k_max: int, n_max: int, cache: KernelCache | None = None) -> Au
     Row sum / monotonicity / tail bound / log bound run over every cached
     (k <= k_max, n <= n_max).  The cubic lower-bound sweeps are dense up to
     n = 60 and strided beyond; the ratio-chain sweep uses deterministic
-    strides.  The log-bound comparison is one-sided (certified upper bound
-    on log n), so a pass is sound; a miss is re-checked at higher precision
-    before being recorded.
+    strides and compares integer cross-products of the entries' numerators
+    and denominators, so a zero or negative entry fails it.  The log-bound
+    comparison is one-sided (certified upper bound on log n), so a pass is
+    sound; a miss is re-checked at higher precision before being recorded.
     """
     cache = cache or default_cache()
     report = AuditReport("kernel", {"k_max": k_max, "n_max": n_max})
@@ -104,8 +106,9 @@ def audit_kernel(k_max: int, n_max: int, cache: KernelCache | None = None) -> Au
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             row = cache.row(k, n)
-            report.record(sum(row, ZERO) == 1, {
-                "check": "row_sum", "k": k, "n": n, "sum": fracstr(sum(row, ZERO)),
+            row_sum = sum(row, ZERO)
+            report.record(row_sum == 1, {
+                "check": "row_sum", "k": k, "n": n, "sum": fracstr(row_sum),
             })
             report.record(
                 all(row[m] >= row[m + 1] for m in range(n - 1)),
@@ -161,14 +164,17 @@ def audit_kernel(k_max: int, n_max: int, cache: KernelCache | None = None) -> Au
                         continue
                     row_small = cache.row(k, n + lam)
                     row_big = cache.row(k, n + big)
-                    prev = Fraction(2)
+                    # ratio = num/den over positive integers; prev starts at 2
+                    prev_num, prev_den = 2, 1
                     ok = True
-                    for t in range(1, lam + 1):
-                        ratio = row_small[n + t - 1] / row_big[n + t - 1]
-                        if not (0 < ratio <= prev):
+                    for t in range(n, n + lam):
+                        small, large = row_small[t], row_big[t]
+                        num = small.numerator * large.denominator
+                        den = small.denominator * large.numerator
+                        if not (num > 0 and den > 0 and num * prev_den <= prev_num * den):
                             ok = False
                             break
-                        prev = ratio
+                        prev_num, prev_den = num, den
                     report.record(ok, {
                         "check": "ratio_chain", "k": k, "n": n, "lam": lam, "LAM": big,
                     })
@@ -322,11 +328,13 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     of ks and each target, the smallest metric distance over indices up to
     `length` and the first index where it occurs; the minimum is a running
     one, so it is nonincreasing in `length` by construction.  One walker
-    holds every requested level.  Each run is split at the checkpoints and
-    at the ``RunProbes`` cuts of every requested level, and each piece is
-    searched from its ends (``_piece_minimum``), so only the indices whose
-    distance could still be the minimum are evaluated.  This is an
-    empirical closeness measurement, not a density proof.
+    holds every requested level.  Each run is split at the checkpoints, and
+    each level splits every part further at its own ``RunProbes`` cuts; each
+    piece is searched from its ends (``_piece_minimum``), so only the
+    indices whose distance could still be the minimum are evaluated.
+    Levels with the same cuts are searched together, the sparsest first, and
+    a state is released only once the densest level has passed it.  This is
+    an empirical closeness measurement, not a density proof.
     """
     seq = prefix if isinstance(prefix, RunSeq) else RunSeq([(p, 1) for p in prefix])
     total = len(seq)
@@ -342,9 +350,9 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     best = [[None] * len(targets) for _ in ks]
     rows = [[] for _ in ks]
 
-    def visit(j, state):
-        for pos, k in enumerate(ks):
-            value = state.value(k)
+    def visit(positions, j, state):
+        for pos in positions:
+            value = state.value(ks[pos])
             for t, target in enumerate(targets):
                 candidate = (space.metric(value, target), j)
                 if best[pos][t] is None or candidate < best[pos][t]:
@@ -362,25 +370,34 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     for p, count in seq.runs:
         if walker.j == 0:  # the first term has no earlier state to probe from
             walker.push(p)
-            visit(1, walker)
+            visit(range(len(ks)), 1, walker)
             if 1 in marks:
                 emit(1)
             count -= 1
             if count == 0:
                 continue
         run = RunProbes(walker, p, count)
-        cuts = {run.a, run.b, *(m for m in marks if run.a < m < run.b)}
-        for level in set(ks):
-            cuts.update(run.cuts(level))
-        cuts = sorted(cuts)
-        for l, r in zip(cuts, cuts[1:]):
-            visit(r, run.at(r))
+        level_cuts = {level: run.cuts(level) for level in set(ks)}
+        bounds = sorted({run.a, run.b, *(m for m in marks if run.a < m < run.b)})
+        for s, e in zip(bounds, bounds[1:]):
+            groups = {}  # the cuts of a level inside [s, e] -> its positions in ks
             for pos, k in enumerate(ks):
-                for t, target in enumerate(targets):
-                    best[pos][t] = _piece_minimum(run, l, r, k, target, space, best[pos][t])
-            if r in marks:
-                emit(r)
-            run.release(r)
+                cuts = level_cuts[k]
+                inner = cuts[bisect_right(cuts, s):bisect_left(cuts, e)]
+                groups.setdefault((s, *inner, e), []).append(pos)
+            order = sorted(groups, key=len)
+            for cuts in order:
+                positions = groups[cuts]
+                for l, r in zip(cuts, cuts[1:]):
+                    visit(positions, r, run.at(r))
+                    for pos in positions:
+                        for t, target in enumerate(targets):
+                            best[pos][t] = _piece_minimum(
+                                run, l, r, ks[pos], target, space, best[pos][t])
+                    if cuts is order[-1]:
+                        run.release(r)
+            if e in marks:
+                emit(e)
         walker = run.at(run.b)
     return [row for group in rows for row in group]
 

@@ -10,12 +10,15 @@ comes from one formula, the closed form
 where h_j is the complete homogeneous symmetric polynomial (Hardy,
 *Divergent Series*, section 5).  ``row_tail`` evaluates it by a downward
 sweep over m, which yields any segment of any row in O(width * k)
-operations and O(width) memory, with no earlier rows.  The constructions
-use segments directly; whole rows (``row``, ``entry``, ``apply_iterate``,
-the audits) are the segment from column 1, memoized by the cache within
-its budget.
+operations and O(width) memory, with no earlier rows.  The sweep takes one
+of three paths by level: level 1 is the constant 1/n, level 2 the harmonic
+tail (sum of 1/(n*i) for i = m..n), and levels >= 3 an integer sweep over
+the common denominator lcm(m, ..., n), so that each entry costs one gcd.
+The constructions use segments directly; whole rows (``row``, ``entry``,
+``apply_iterate``, the audits) are the segment from column 1, memoized by
+the cache within its budget.
 
-Everything is an exact ``Fraction``.
+Every entry is an exact, normalized ``Fraction``.
 
 Concurrency: rows are published as immutable tuples.  A missing row is
 built and published under a single lock; readers never need it once a row
@@ -25,6 +28,7 @@ is visible.
 import os
 import threading
 from fractions import Fraction
+from math import gcd
 
 from .errors import BudgetExceededError, certify
 from .exact import ZERO
@@ -93,21 +97,43 @@ class KernelCache:
     def row_tail(self, k: int, n: int, m_from: int) -> list[Fraction]:
         """Entries T^k_(n,m) for m = m_from..n, computed without the cache.
 
-        Sweeps m down from n, updating h_j += h_(j-1)/m for j = 1..k-1 from
-        h_0 = 1/n, so that after step m the list holds h_j(1/m, ..., 1/n)/n
-        and its last element is the entry at column m.  Reaches row indices
-        far beyond the cache budget.
+        Sweeps m down from n; each level takes its own path.  Level 1 is
+        the constant 1/n.  Level 2 is the harmonic tail, e += 1/(n*m),
+        whose addend has a small denominator.  Levels k >= 3 run on plain
+        integers: with D = lcm(m, ..., n), H_j = D^j * h_j(1/m, ..., 1/n)
+        is an integer, and when m brings a new factor g = m // gcd(D, m),
+        D grows by g and each H_j by g^j.  Then H_j += H_(j-1) * (D // m)
+        for j = 1..k-1 from H_0 = 1, and the entry at column m is
+        H_(k-1) / (n * D^(k-1)), normalized by its one gcd.  Reaches row
+        indices far beyond the cache budget.
         """
         if k < 1 or not (1 <= m_from <= n):
             raise ValueError("need k >= 1 and 1 <= m_from <= n")
         if k == 1:
             return [Fraction(1, n)] * (n - m_from + 1)
-        h = [Fraction(1, n)] + [ZERO] * (k - 1)
         out = []
-        for m in range(n, m_from - 1, -1):
-            for j in range(1, k):
-                h[j] += h[j - 1] / m
-            out.append(h[-1])
+        if k == 2:
+            e = ZERO
+            for m in range(n, m_from - 1, -1):
+                e += Fraction(1, n * m)
+                out.append(e)
+        else:
+            d = 1
+            scale = n  # n * D^(k-1)
+            h = [1] + [0] * (k - 1)
+            for m in range(n, m_from - 1, -1):
+                g = m // gcd(d, m)
+                if g > 1:
+                    d *= g
+                    power = 1
+                    for j in range(1, k):
+                        power *= g
+                        h[j] *= power
+                    scale *= power
+                step = d // m
+                for j in range(1, k):
+                    h[j] += h[j - 1] * step
+                out.append(Fraction(h[-1], scale))
         out.reverse()
         return out
 

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro import (
     AuditReport,
+    KernelCache,
     audit_abel,
     audit_density,
     audit_kernel,
@@ -26,6 +28,37 @@ def test_audit_kernel_small(cache):
     assert report.failed == 0
     assert report.counterexamples == []
     assert report.checked == report.passed
+
+
+class EditedRowCache(KernelCache):
+    """A cache that serves one row (k, n) with a single entry replaced."""
+
+    def __init__(self, k, n, column, value):
+        super().__init__()
+        self.edit = (k, n, column, value)
+
+    def row(self, k, n):
+        row = super().row(k, n)
+        ek, en, column, value = self.edit
+        if (k, n) != (ek, en):
+            return row
+        return row[:column - 1] + (value,) + row[column:]
+
+
+def test_audit_kernel_ratio_chain_can_fail():
+    # raising T^2_(5,5) to T^2_(5,4) makes a_2 = T^2_(5,4)/T^2_(6,5) exceed
+    # a_1 = T^2_(5,4)/T^2_(6,4) in the chain n = 3, lam = 2, LAM = 3
+    report = audit_kernel(2, 12, EditedRowCache(2, 5, 5, KernelCache().entry(2, 5, 4)))
+    assert report.failed >= 1
+    assert {"check": "ratio_chain", "k": 2, "n": 3, "lam": 2, "LAM": 3} in report.counterexamples
+
+
+@pytest.mark.parametrize("row", [4, 3], ids=["larger-row", "smaller-row"])
+def test_audit_kernel_ratio_chain_rejects_zero_entry(row):
+    # a zero at column 3 of either row of the chain n = 2, lam = 1, LAM = 2
+    report = audit_kernel(2, 12, EditedRowCache(2, row, 3, F(0)))
+    assert report.failed >= 1
+    assert {"check": "ratio_chain", "k": 2, "n": 2, "lam": 1, "LAM": 2} in report.counterexamples
 
 
 def test_audit_kernel_k1_tail_equalities(cache):

@@ -224,6 +224,11 @@ def test_row_tail_wide_segment():
         impulse = [(Fraction(0),)] * n
         impulse[m - 1] = (Fraction(1),)
         assert apply_iterate_oracle(3, impulse, n) == (tail[m - 1],)
+    # segments of levels 2-5 that start past column 1: the level-2 harmonic
+    # tail, and the rescaling of the integer sweep whenever m brings a new
+    # factor into lcm(m..n)
+    for k, n, m_from in ((2, 1499, 700), (3, 1500, 1201), (4, 1501, 751), (5, 1440, 1000)):
+        assert_segment_matches_reference(k, n, m_from, KernelCache().row_tail(k, n, m_from))
 
 
 def test_phi_independent_of_cache_budget(cache):
