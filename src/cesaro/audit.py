@@ -8,7 +8,6 @@ bounded.
 
 import random
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -328,13 +327,12 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     of ks and each target, the smallest metric distance over indices up to
     `length` and the first index where it occurs; the minimum is a running
     one, so it is nonincreasing in `length` by construction.  One walker
-    holds every requested level.  Each run is split at the checkpoints, and
-    each level splits every part further at its own ``RunProbes`` cuts; each
-    piece is searched from its ends (``_piece_minimum``), so only the
-    indices whose distance could still be the minimum are evaluated.
-    Levels with the same cuts are searched together, the sparsest first, and
-    a state is released only once the densest level has passed it.  This is
-    an empirical closeness measurement, not a density proof.
+    holds every requested level.  Each run is split at the ``RunProbes``
+    cuts of the highest requested level, which refine those of every lower
+    level, and at the checkpoints; every level is searched on each piece
+    from its ends (``_piece_minimum``), so only the indices whose distance
+    could still be the minimum are evaluated.  This is an empirical
+    closeness measurement, not a density proof.
     """
     seq = prefix if isinstance(prefix, RunSeq) else RunSeq([(p, 1) for p in prefix])
     total = len(seq)
@@ -350,9 +348,9 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     best = [[None] * len(targets) for _ in ks]
     rows = [[] for _ in ks]
 
-    def visit(positions, j, state):
-        for pos in positions:
-            value = state.value(ks[pos])
+    def visit(j, state):
+        for pos, k in enumerate(ks):
+            value = state.value(k)
             for t, target in enumerate(targets):
                 candidate = (space.metric(value, target), j)
                 if best[pos][t] is None or candidate < best[pos][t]:
@@ -370,34 +368,22 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     for p, count in seq.runs:
         if walker.j == 0:  # the first term has no earlier state to probe from
             walker.push(p)
-            visit(range(len(ks)), 1, walker)
+            visit(1, walker)
             if 1 in marks:
                 emit(1)
             count -= 1
             if count == 0:
                 continue
         run = RunProbes(walker, p, count)
-        level_cuts = {level: run.cuts(level) for level in set(ks)}
-        bounds = sorted({run.a, run.b, *(m for m in marks if run.a < m < run.b)})
-        for s, e in zip(bounds, bounds[1:]):
-            groups = {}  # the cuts of a level inside [s, e] -> its positions in ks
+        cuts = sorted({*run.cuts(walker.k), *(m for m in marks if run.a < m < run.b)})
+        for l, r in zip(cuts, cuts[1:]):
+            visit(r, run.at(r))
             for pos, k in enumerate(ks):
-                cuts = level_cuts[k]
-                inner = cuts[bisect_right(cuts, s):bisect_left(cuts, e)]
-                groups.setdefault((s, *inner, e), []).append(pos)
-            order = sorted(groups, key=len)
-            for cuts in order:
-                positions = groups[cuts]
-                for l, r in zip(cuts, cuts[1:]):
-                    visit(positions, r, run.at(r))
-                    for pos in positions:
-                        for t, target in enumerate(targets):
-                            best[pos][t] = _piece_minimum(
-                                run, l, r, ks[pos], target, space, best[pos][t])
-                    if cuts is order[-1]:
-                        run.release(r)
-            if e in marks:
-                emit(e)
+                for t, target in enumerate(targets):
+                    best[pos][t] = _piece_minimum(run, l, r, k, target, space, best[pos][t])
+            run.release(r)
+            if r in marks:
+                emit(r)
         walker = run.at(run.b)
     return [row for group in rows for row in group]
 

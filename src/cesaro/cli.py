@@ -114,9 +114,12 @@ def _rational(raw, key: str) -> Fraction:
 
 
 def _integer(raw, key: str) -> int:
+    """An integer or an integer string (a JSON float or boolean is refused)."""
+    if isinstance(raw, (bool, float)):
+        raise ValueError(f"config key {key!r}: refusing to coerce {type(raw).__name__} {raw!r}")
     try:
         return int(raw)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"config key {key!r} must be an integer, got {raw!r}") from None
 
 
@@ -338,6 +341,9 @@ def _construct_dense(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
     ks = [_integer(k, "ks") for k in _list(dense_cfg.get("ks", [1, 2]), "ks")]
     target_count = _integer(dense_cfg.get("target_count", min(5, len(enumeration))),
                             "target_count")
+    if not 1 <= target_count <= len(enumeration):
+        raise ValueError(f"config key 'target_count' must be in 1..{len(enumeration)}, "
+                         f"got {target_count}")
     targets = enumeration[:target_count]
     seq = take_prefix(dense_example(enumeration, growth), terms)
     table = audit_mod.audit_density(seq, targets, ks, space)

@@ -132,6 +132,8 @@ def dense_example(enumeration, growth):
 
 def take_prefix(gen, count: int) -> RunSeq:
     """Materialize the first `count` generator terms as a run sequence."""
+    if count < 1:
+        raise ValueError(f"a prefix needs at least one term, got {count}")
     seq = RunSeq()
     for p in gen:
         seq.append(p)

@@ -15,11 +15,11 @@ instance to pad it with zeros) without walking the prefix again.
 ``RunProbes`` serves readers that need a maximum or minimum over every index
 of a run (the in-block maxima of block assignment, the density audit).  It
 cuts a run of p into pieces on which every coordinate of [T^c] is monotone,
-and makes walker states at chosen indices from the nearest lower one.  With
-u_c = [T^c] - p, j*u_1(j) is constant along the run, so level 1 needs no
-interior cut; at level 2 each coordinate rises to at most one peak and then
-falls back toward p, and bisection finds the peak.  Levels >= 3 (not proved
-unimodal) are cut at every index.
+and makes walker states at chosen indices from the nearest lower one.  One
+rule serves every level: along the run, level c moves toward level c - 1, so
+on each monotone piece of level c - 1 a coordinate of level c turns at most
+once, and bisection finds the turn.  Level 1 needs no interior cut, and the
+cuts of each level refine those of the level below.
 """
 
 from fractions import Fraction
@@ -228,7 +228,7 @@ class RunProbes:
     made from the nearest lower state held by ``copy`` and ``push_run``;
     states live only as long as this object, and ``release`` drops the ones
     a reader has moved past.  ``cuts(level)`` splits a..b into pieces on
-    which every coordinate of [T^level] is monotone.
+    which every coordinate of [T^c] is monotone for every c <= level.
     """
 
     def __init__(self, walker: IterateWalker, p: Point, count: int):
@@ -260,46 +260,50 @@ class RunProbes:
         self._states = {i: s for i, s in self._states.items() if i == self.a or i >= j}
 
     def cuts(self, level: int) -> list:
-        """Indices a = t_0 < ... < t_m = b with [T^level] monotone on each [t_i, t_(i+1)].
+        """Indices a = t_0 < ... < t_m = b with every [T^c], c <= level, monotone between them.
 
-        With u_c = [T^c] - p along the run, j*u_1(j) = a*u_1(a) = B stays
-        constant, so level 1 needs no interior cut.  At level 2,
-        f = u_2 obeys f(j) - f(j-1) = (B/j - f(j-1))/j: once
-        sign(B)*j*f(j-1) >= |B| the step is <= 0 and the condition persists,
-        since then f(j) >= B/j > B/(j+1) (for B > 0; B < 0 is symmetric), and
-        before it the step is > 0.  So each coordinate rises to one peak and
-        then falls, and bisection on that condition finds the peak.  Levels
-        >= 3 return every index.
+        Along the run, x = [T^(c-1)] - p and y = [T^c] - p obey
+        j*y(j) = (j-1)*y(j-1) + x(j), with x = 0 at c = 1, where j*y(j) is
+        constant and there is no interior cut.  At c >= 2, let x move in the
+        direction s = sign(x(r) - x(l)) != 0 on a piece [l, r] of ``cuts(c - 1)``.
+        As x(j) - y(j) = (j-1)*(y(j) - y(j-1)), the step into j moves y along s
+        exactly when P(j): s*(x(j) - y(j)) >= 0 (p cancels).  P persists on the
+        piece, as s*y(j) <= s*x(j) <= s*x(j+1) puts the next step along s too,
+        so y turns at most once there, and bisection on P finds the turn.
+        Where x(r) = x(l), x is constant on the piece and y moves monotonically toward it.
         """
-        a, b = self.a, self.b
         if level < 1:
             raise ValueError("need level >= 1")
-        if level >= 3:
-            return list(range(a, b + 1))
         if level == 1:
-            return [a, b]
-        peaks = set()
-        for i, (x, v) in enumerate(zip(self.p, self._states[a].value(1))):
-            drift = a * (v - x)  # B for coordinate i
-            if drift == 0:
-                continue
-            sign = 1 if drift > 0 else -1
+            return [self.a, self.b]
+        lower = self.cuts(level - 1)
+        turns = set()
+        for l, r in zip(lower, lower[1:]):
+            for i in range(len(self.p)):
+                x_l = self.at(l).value(level - 1)[i]
+                # x is monotone: a nonzero step into l + 1 (probed next anyway) gives s
+                step = (self.at(l + 1).value(level - 1)[i] - x_l
+                        or self.at(r).value(level - 1)[i] - x_l)
+                if step == 0:
+                    continue
+                sign = 1 if step > 0 else -1
 
-            def turned(t):  # the step from t to t + 1 does not move away from p
-                return sign * (t + 1) * (self.at(t).value(2)[i] - x) >= sign * drift
+                def along(j):  # P(j): the step into j moves [T^level] along sign
+                    state = self.at(j)
+                    return sign * (state.value(level - 1)[i] - state.value(level)[i]) >= 0
 
-            if turned(a):
-                continue
-            lo, hi = a, b
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if turned(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            if hi < b:
-                peaks.add(hi)
-        return [a, *sorted(peaks), b]
+                if along(l + 1):
+                    continue
+                lo, hi = l + 1, r + 1  # P(lo) is false; P(hi) is true or hi is past r
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if along(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                if lo < r:
+                    turns.add(lo)
+        return sorted({*lower, *turns})
 
 
 def iterate_at(k: int, seq: RunSeq, n: int) -> Point:

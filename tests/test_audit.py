@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesaro import (
@@ -194,7 +194,7 @@ def density_cases(draw):
     runs = draw(st.lists(st.tuples(st.sampled_from(points), st.integers(1, 300)),
                          min_size=1, max_size=4))
     seq = RunSeq(runs)
-    ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ks = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     targets = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["point", "iterate", "midpoint", "free"]))
@@ -215,8 +215,15 @@ def density_cases(draw):
     return seq, targets, ks, Space(d, tuple(weights)), checkpoints
 
 
+# [T^2] has a trough at 7 inside the run of 4 and [T^3] one at 8, each below
+# the ends of the lower level's piece around it, with no checkpoint there
+TROUGHS = RunSeq([((F(2),), 5), ((F(-1),), 1), ((F(4),), 40)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(density_cases())
+@example((TROUGHS, [iterate_at(2, TROUGHS, 7), iterate_at(3, TROUGHS, 8)], [2, 3], Space(1),
+          [46]))
 def test_density_matches_per_index_reference(case):
     seq, targets, ks, space, checkpoints = case
     assert (audit_density(seq, targets, ks, space, checkpoints)

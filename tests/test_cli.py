@@ -360,7 +360,14 @@ def test_shipped_configs_pass_key_check():
     ("thm42", {**THM42_CFG, "budgets": []}, "'budgets' must be an object"),
     ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "growth": "power"}},
      "growth must be an object"),
-], ids=["array", "ground-kind-typo", "index-kind-typo", "budgets-array", "growth-string"])
+    ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "terms": 0}},
+     "a prefix needs at least one term, got 0"),
+    ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "target_count": -2}},
+     "'target_count' must be in 1..8, got -2"),
+    ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "target_count": 9}},
+     "'target_count' must be in 1..8, got 9"),
+], ids=["array", "ground-kind-typo", "index-kind-typo", "budgets-array", "growth-string",
+        "dense-no-terms", "target-count-negative", "target-count-past-enumeration"])
 def test_config_shape_errors_exit_1(tmp_path, capsys, mode, payload, message):
     cfg = write_cfg(tmp_path, payload)
     assert main(["construct", "--mode", mode, "--config", cfg,
@@ -377,8 +384,14 @@ def test_config_shape_errors_exit_1(tmp_path, capsys, mode, payload, message):
     ("thm41", {**PLAN_CFG, "plan": [[["1"]]]}, "'plan' must be an object"),
     ("thm42", {**THM42_CFG, "budgets": {"term_cap": [10]}},
      "'term_cap' must be an integer, got [10]"),
+    ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "terms": 300.9}},
+     "'terms': refusing to coerce float 300.9"),
+    ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "ks": [1, True]}},
+     "'ks': refusing to coerce bool True"),
+    ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "terms": "300.9"}},
+     "'terms' must be an integer, got '300.9'"),
 ], ids=["epsilon-float", "target-not-a-list", "atom-weight-float", "plan-entry-array",
-        "term-cap-array"])
+        "term-cap-array", "terms-float", "ks-bool", "terms-decimal-string"])
 def test_config_type_errors_exit_1(tmp_path, capsys, mode, payload, message):
     cfg = write_cfg(tmp_path, payload)
     assert main(["construct", "--mode", mode, "--config", cfg,

@@ -318,10 +318,10 @@ def assignment_runs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(assignment_runs(), st.integers(1, 2))
+@given(assignment_runs(), st.integers(1, 4))
 def test_block_seminorm_max_matches_per_index(data, level):
     prefix, runs, space = data
-    walker = IterateWalker(2, space.dimension)
+    walker = IterateWalker(4, space.dimension)
     for p, count in prefix:
         walker.push_run(p, count)
     rhos = range(1, space.dimension + 1)

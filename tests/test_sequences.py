@@ -146,7 +146,7 @@ def test_mixed_dimensions_rejected():
 
 @st.composite
 def walker_and_run(draw):
-    """A level-2 walker past a prefix, resumed inside a run of p or not, and one run of p."""
+    """A walker past a prefix, resumed inside a run of p or not, and one run of p."""
     d = draw(st.integers(1, 3))
     point = st.tuples(*[small_fraction] * d)
     prefix = draw(st.lists(st.tuples(point, st.integers(1, 40)), min_size=1, max_size=3))
@@ -160,10 +160,10 @@ def is_monotone(values):
 
 
 @settings(max_examples=60, deadline=None)
-@given(walker_and_run(), st.integers(1, 2))
+@given(walker_and_run(), st.integers(1, 5))
 def test_run_cuts_bound_monotone_pieces(data, level):
     d, prefix, p, count = data
-    walker = IterateWalker(2, d)
+    walker = IterateWalker(5, d)
     for q, c in prefix:
         walker.push_run(q, c)
     a, before = walker.j, walker.values
@@ -176,22 +176,31 @@ def test_run_cuts_bound_monotone_pieces(data, level):
     cuts = run.cuts(level)
     assert cuts[0] == a and cuts[-1] == a + count
     assert all(s < t for s, t in zip(cuts, cuts[1:]))
-    assert len(cuts) <= 2 + (d if level == 2 else 0)
+    # at most one turn per coordinate on each piece of the level below
+    assert len(cuts) <= 2 + d * (2 ** (level - 1) - 1)
     for s, t in zip(cuts, cuts[1:]):
-        for i in range(d):
-            assert is_monotone([states[j][level - 1][i] for j in range(s, t + 1)])
+        for c in range(level):
+            for i in range(d):
+                assert is_monotone([states[j][c][i] for j in range(s, t + 1)])
     for j in cuts:
         assert run.at(j).values == states[j]
     assert walker.j == a and walker.values == before
 
 
-def test_run_cuts_every_index_above_level_two():
+def test_run_cuts_pinned_level_three():
+    # [T^2] falls from 6 to 7 and [T^3] from 6 to 8; both rise toward 4 after
     walker = IterateWalker(3, 1)
     walker.push_run((F(2),), 5)
     walker.push((F(-1),))
     run = RunProbes(walker, (F(4),), 40)
-    assert run.cuts(3) == list(range(6, 47))
+    assert run.cuts(3) == [6, 7, 8, 46]
+    assert run.cuts(2) == [6, 7, 46]
     assert run.cuts(1) == [6, 46]
+    # p = 7*[T^2]_6 - 6*[T^1]_6 makes the step of [T^2] into 7 exactly 0; it
+    # rises after, and [T^3] falls from 6 to 8 before following it
+    flat = RunProbes(walker, (7 * walker.value(2)[0] - 6 * walker.value(1)[0],), 40)
+    assert flat.cuts(2) == [6, 46]
+    assert flat.cuts(3) == [6, 8, 46]
     with pytest.raises(ValueError):
         RunProbes(IterateWalker(2, 1), (F(1),), 3)
     with pytest.raises(ValueError):
