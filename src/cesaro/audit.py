@@ -301,25 +301,6 @@ def audit_unit_interval(samples: int = 500, n_max: int = 100, seed: int = 0,
     return report
 
 
-def _piece_minimum(run: RunProbes, l: int, r: int, k: int, target, space: Space, best):
-    """Lexicographic minimum of best and (metric, j) over l < j < r.
-
-    Every coordinate of [T^k] is monotone on [l, r], so the values there lie
-    in the box spanned by the ends, and the box's metric distance to the
-    target bounds every distance inside from below.  A part whose bound
-    cannot beat best (or only tie it at a later index) is skipped.
-    """
-    if r - l < 2:
-        return best
-    bound = space.box_metric(run.at(l).value(k), run.at(r).value(k), target)
-    if (bound, l + 1) >= best:
-        return best
-    mid = (l + r) // 2
-    best = min(best, (space.metric(run.at(mid).value(k), target), mid))
-    best = _piece_minimum(run, l, mid, k, target, space, best)
-    return _piece_minimum(run, mid, r, k, target, space, best)
-
-
 def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     """Minimum iterate-to-target distances as the prefix grows.
 
@@ -329,10 +310,10 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     one, so it is nonincreasing in `length` by construction.  One walker
     holds every requested level.  Each run is split at the ``RunProbes``
     cuts of the highest requested level, which refine those of every lower
-    level, and at the checkpoints; every level is searched on each piece
-    from its ends (``_piece_minimum``), so only the indices whose distance
-    could still be the minimum are evaluated.  This is an empirical
-    closeness measurement, not a density proof.
+    level, and at the checkpoints; every level is searched on each piece by
+    ``RunProbes.search`` with the box bound ``Space.box_metric``, so only the
+    indices whose distance could still be the minimum are evaluated.  This
+    is an empirical closeness measurement, not a density proof.
     """
     seq = prefix if isinstance(prefix, RunSeq) else RunSeq([(p, 1) for p in prefix])
     total = len(seq)
@@ -345,16 +326,13 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     walker = IterateWalker(max(ks, default=1), space.dimension)
     # best[pos][t] is the lexicographic minimum of (metric, index) so far, so
     # a tie keeps the earlier index; rows stay grouped by entry of ks
-    best = [[None] * len(targets) for _ in ks]
+    best = [[(1, 0)] * len(targets) for _ in ks]  # every metric is below 1
     rows = [[] for _ in ks]
 
     def visit(j, state):
         for pos, k in enumerate(ks):
-            value = state.value(k)
             for t, target in enumerate(targets):
-                candidate = (space.metric(value, target), j)
-                if best[pos][t] is None or candidate < best[pos][t]:
-                    best[pos][t] = candidate
+                best[pos][t] = min(best[pos][t], (space.metric(state.value(k), target), j))
 
     def emit(j):
         for pos, k in enumerate(ks):
@@ -380,7 +358,9 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
             visit(r, run.at(r))
             for pos, k in enumerate(ks):
                 for t, target in enumerate(targets):
-                    best[pos][t] = _piece_minimum(run, l, r, k, target, space, best[pos][t])
+                    best[pos][t] = run.search(
+                        l, r, lambda lo, hi: space.box_metric(lo.value(k), hi.value(k), target),
+                        best[pos][t])
             run.release(r)
             if r in marks:
                 emit(r)

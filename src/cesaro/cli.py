@@ -161,7 +161,10 @@ def budgets_from_config(cfg: dict) -> tuple[KernelCache, int]:
                             _integer(b.get("kernel_n_max", DEFAULT_N_MAX), "kernel_n_max"))
     else:
         cache = KernelCache.from_env()
-    return cache, _integer(b.get("term_cap", DEFAULT_TERM_CAP), "term_cap")
+    term_cap = _integer(b.get("term_cap", DEFAULT_TERM_CAP), "term_cap")
+    if term_cap < 1:
+        raise ValueError(f"config key 'term_cap' must be at least 1, got {term_cap}")
+    return cache, term_cap
 
 
 def growth_from_config(raw) -> callable:

@@ -179,9 +179,9 @@ class ConvexWitness:
 # certified first hits
 # ---------------------------------------------------------------------------
 
-def _first_hit(walker: IterateWalker, seq: RunSeq, pattern, levels, target: Point, tol,
-               space: Space, first: int, last: int) -> bool:
-    """Repeat ``pattern`` until the first index j >= first with every level metric-within tol.
+def _first_hit(walker: IterateWalker, seq: RunSeq, pattern, level: int, target: Point, tol,
+               space: Space, last: int) -> bool:
+    """Repeat lemma 3.3's ``pattern`` until the first j past the cursor with [T^level]_j within tol.
 
     ``pattern`` is a cyclic list of (point, count) runs whose cycle starts
     at the walker's cursor; each pushed run is appended to ``seq`` too.
@@ -204,11 +204,11 @@ def _first_hit(walker: IterateWalker, seq: RunSeq, pattern, levels, target: Poin
     while True:
         step = 1
         if walker.j:
-            worst = max(space.metric(walker.value(c), target) for c in levels)
-            if worst < tol and walker.j >= first:
+            dist = space.metric(walker.value(level), target)
+            if dist < tol and walker.j > origin:
                 return True
-            if worst >= tol and lipschitz:
-                step = floor_frac((worst - tol) * (walker.j + 1) / lipschitz) + 1
+            if dist >= tol and lipschitz:
+                step = floor_frac((dist - tol) * (walker.j + 1) / lipschitz) + 1
         if walker.j >= last:
             return False
         step = min(step, last - walker.j)
@@ -219,10 +219,7 @@ def _first_hit(walker: IterateWalker, seq: RunSeq, pattern, levels, target: Poin
                 i += 1
             p = pattern[i][0]
             count = step if len(pattern) == 1 else min(pattern[i][1] - rest, step)
-            if count == 1:
-                walker.push(p)
-            else:
-                walker.push_run(p, count)
+            walker.push_run(p, count)
             seq.append(p, count)
             step -= count
 
@@ -253,6 +250,8 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
     epsilon = frac(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if term_cap < 1:
+        raise ValueError("term_cap must be at least 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     if ground is not None:
@@ -297,8 +296,7 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
     walker.push_seq(seq)
     rho0 = walker.j
     # n0 is always past the given prefix: at least one term is appended
-    if not _first_hit(walker, seq, pattern, [k], x_prime, epsilon / 3, space,
-                      rho0 + 1, rho0 + term_cap):
+    if not _first_hit(walker, seq, pattern, k, x_prime, epsilon / 3, space, rho0 + term_cap):
         raise BudgetExceededError(
             "term_cap", "iterate did not enter the eps/3 ball before the cap",
             appended=walker.j - rho0, term_cap=term_cap,
@@ -772,8 +770,8 @@ def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) 
     Returns v1 (the certified length), the first index at which every level
     passes.  Level 1 has a closed form, and no shorter length can pass at
     level 1, so the walker absorbs the copies up to it in one run; from
-    there ``_first_hit`` skips the indices at which some level provably
-    still fails.  Hopeless runs fail loudly and immediately.
+    there ``RunProbes.search`` skips the parts of doubling windows (j, 2j]
+    where some level provably still fails.  Hopeless runs fail loudly and immediately.
     """
     rho0 = len(seq)
     level1_v = _level1_requirement(seq, a, tol, space)
@@ -785,10 +783,22 @@ def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) 
     walker = IterateWalker(k, space.dimension)
     walker.push_seq(seq)
     walker.push_run(a, level1_v - rho0)
-    seq.append(a, level1_v - rho0)
     levels = range(1, k + 1)
-    if _first_hit(walker, seq, [(a, 1)], levels, a, tol, space, walker.j, term_cap):
-        return walker.j
+
+    def misses(lo, hi):  # every index between the states lo and hi fails some level
+        return any(space.box_metric(lo.value(c), hi.value(c), a) >= tol for c in levels)
+
+    no_hit = (True, 0)  # any (False, j) beats it, and no miss (True, j) does
+    best = min(no_hit, (misses(walker, walker), walker.j))
+    while best == no_hit and walker.j < term_cap:
+        run = RunProbes(walker, a, min(2 * walker.j, term_cap) - walker.j)
+        cuts = run.cuts(k)
+        for l, r in zip(cuts, cuts[1:]):
+            best = min(run.search(l, r, misses, best), (misses(run.at(r), run.at(r)), r))
+        walker = run.at(run.b)
+    if best != no_hit:
+        seq.append(a, best[1] - rho0)
+        return best[1]
     worst = max(space.metric(walker.value(level), a) for level in levels)
     raise BudgetExceededError(
         "term_cap", "stabilization did not converge before the cap",
@@ -833,6 +843,8 @@ def simultaneous_construct(prefix, targets, epsilon, index_set: IndexSet,
     epsilon = frac(epsilon)
     if not (0 < epsilon < Fraction(1, 2)):
         raise ValueError("epsilon must lie in (0, 1/2)")
+    if term_cap < 1:
+        raise ValueError("term_cap must be at least 1")
     targets = [space.check_point(point(*x)) for x in targets]
     k = len(targets)
     if k < 1:

@@ -12,14 +12,14 @@ that walks a sequence's runs up to an index; ``iterate_at`` and the
 constructions all go through it, and ``copy`` branches a walker (for
 instance to pad it with zeros) without walking the prefix again.
 
-``RunProbes`` serves readers that need a maximum or minimum over every index
-of a run (the in-block maxima of block assignment, the density audit).  It
-cuts a run of p into pieces on which every coordinate of [T^c] is monotone,
-and makes walker states at chosen indices from the nearest lower one.  One
-rule serves every level: along the run, level c moves toward level c - 1, so
-on each monotone piece of level c - 1 a coordinate of level c turns at most
-once, and bisection finds the turn.  Level 1 needs no interior cut, and the
-cuts of each level refine those of the level below.
+``RunProbes`` serves readers that need an extremum or a first hit over a run
+(in-block maxima, density minima, stabilization).  It cuts a run of p into
+pieces on which every coordinate of [T^c] is monotone, makes walker states
+from the nearest lower one, and ``search`` bisects a piece, skipping every
+part whose bound from its end states cannot beat the best so far.  Along the
+run level c moves toward level c - 1, so on each monotone piece of level
+c - 1 a coordinate of level c turns at most once, where bisection finds it;
+level 1 needs no interior cut.
 """
 
 from fractions import Fraction
@@ -159,6 +159,9 @@ class IterateWalker:
             raise ValueError(f"point has dimension {len(p)}, walker has {self.d}")
         if count == 0:
             return
+        if count == 1:
+            self.push(p)
+            return
         p = tuple(p)
         a, b = self.j, self.j + count
         self.j = b
@@ -248,10 +251,7 @@ class RunProbes:
                 raise ValueError(f"index {j} outside {self.a}..{self.b}")
             lower = max(i for i in self._states if i < j)
             state = self._states[lower].copy()
-            if j - lower == 1:
-                state.push(self.p)
-            else:
-                state.push_run(self.p, j - lower)
+            state.push_run(self.p, j - lower)
             self._states[j] = state
         return state
 
@@ -304,6 +304,18 @@ class RunProbes:
                 if lo < r:
                     turns.add(lo)
         return sorted({*lower, *turns})
+
+    def search(self, l: int, r: int, bound, best):
+        """Lexicographic minimum of best and (bound(at(j), at(j)), j) over l < j < r.
+
+        On a piece of ``cuts``, bound(at(l), at(r)) must bound each value inside from below.
+        """
+        if r - l < 2 or (bound(self.at(l), self.at(r)), l + 1) >= best:
+            return best
+        mid = (l + r) // 2
+        best = min(best, (bound(self.at(mid), self.at(mid)), mid))
+        best = self.search(l, mid, bound, best)
+        return self.search(mid, r, bound, best)
 
 
 def iterate_at(k: int, seq: RunSeq, n: int) -> Point:

@@ -107,9 +107,9 @@ class Space:
 
         The metric grows with each coordinate gap separately, so the nearest
         point of the box clamps each coordinate of z into [min, max] of x's
-        and y's.
+        and y's; a box of one point (x is y) is that point, without the clamp.
         """
-        nearest = tuple(
+        nearest = x if x is y else tuple(
             min(max(zi, min(xi, yi)), max(xi, yi)) for xi, yi, zi in zip(x, y, z, strict=True)
         )
         return self.metric(nearest, z)

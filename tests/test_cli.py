@@ -390,8 +390,13 @@ def test_config_shape_errors_exit_1(tmp_path, capsys, mode, payload, message):
      "'ks': refusing to coerce bool True"),
     ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "terms": "300.9"}},
      "'terms' must be an integer, got '300.9'"),
+    ("thm42", {**THM42_CFG, "budgets": {"term_cap": 0}},
+     "'term_cap' must be at least 1, got 0"),
+    ("lemma33", {**LEMMA33_CFG, "budgets": {"term_cap": -3}},
+     "'term_cap' must be at least 1, got -3"),
 ], ids=["epsilon-float", "target-not-a-list", "atom-weight-float", "plan-entry-array",
-        "term-cap-array", "terms-float", "ks-bool", "terms-decimal-string"])
+        "term-cap-array", "terms-float", "ks-bool", "terms-decimal-string", "term-cap-zero",
+        "term-cap-negative"])
 def test_config_type_errors_exit_1(tmp_path, capsys, mode, payload, message):
     cfg = write_cfg(tmp_path, payload)
     assert main(["construct", "--mode", mode, "--config", cfg,

@@ -400,6 +400,15 @@ def test_simultaneous_k2_fails_loudly(line, lattice1, cache):
     assert str(err.details["m0"]) in str(err)
 
 
+def _stabilize_per_index(prefix, a, k, tol, sp):
+    """The first index from the prefix's end on with every level within tol of a, step by step."""
+    walker = IterateWalker(k, sp.dimension)
+    walker.push_seq(RunSeq([(p, 1) for p in prefix]))
+    while not all(sp.metric(walker.value(c), a) < tol for c in range(1, k + 1)):
+        walker.push(a)
+    return walker.j
+
+
 def test_stabilize_multilevel_from_prefix():
     # v1 is the first index at which every level passes, walked index by index;
     # the two fixed cases pass at exactly the padded level-1 length
@@ -417,16 +426,9 @@ def test_stabilize_multilevel_from_prefix():
         v1 = _stabilize(seq, a, k, tol, sp, 10**6)
         assert v1 < 500
         assert seq.runs == RunSeq([(p, 1) for p in prefix] + [(a, v1 - len(prefix))]).runs
-        want = len(prefix)
-        while True:
-            padded = RunSeq([(p, 1) for p in prefix] + [(a, want - len(prefix))])
-            if all(sp.metric(iterate_at(c, padded, want), a) < tol for c in range(1, k + 1)):
-                break
-            want += 1
-        assert v1 == want
-    # caps inside a skip of the first-hit search (the case-5 search evaluates
-    # 21 and 23, the case-6 one 11 and 13, 29 and 31) exit exactly as a
-    # per-index loop does
+        assert v1 == _stabilize_per_index(prefix, a, k, tol, sp)
+    # caps before the first hit exit exactly as a per-index loop does, with
+    # the metric at the cap index
     exits = [
         (5, 22, {"appended": 17,
                  "current_metric": "1425880334888149571/5059226054982646788"}),
@@ -439,6 +441,46 @@ def test_stabilize_multilevel_from_prefix():
         with pytest.raises(BudgetExceededError) as exc:
             _stabilize(RunSeq([(p, 1) for p in prefix]), a, k, tol, Space(len(a)), cap)
         assert exc.value.details == {"phase": "stabilization", "term_cap": cap, **expected}
+
+
+def test_stabilize_window_search_pinned(monkeypatch):
+    # k = 3 in the plane: the level-1 length is 63, and the doubling windows
+    # (63, 126], ..., (2016, 4032] of the search hold the first hit at 2202
+    prefix, a, k, tol = [(F(3, 2), F(-2))], (F(-1, 2), F(1, 2)), 3, F(1, 40)
+    sp = Space(2)
+    # a search that descends into pieces holding no hit still finds 2202,
+    # so only the count of walker states it makes guards its cost
+    copies = []
+    original = IterateWalker.copy
+    monkeypatch.setattr(IterateWalker, "copy", lambda self: copies.append(self.j) or original(self))
+    v1 = _stabilize(RunSeq([(p, 1) for p in prefix]), a, k, tol, sp, 10**6)
+    assert len(copies) <= 40
+    monkeypatch.undo()
+    assert v1 == _stabilize_per_index(prefix, a, k, tol, sp) == 2202
+    # caps inside a window, on a window edge and one short of the hit exit
+    # with the metric at the cap index; SHA-256 of that metric
+    pinned = {
+        1000: "48b7af5ed06c0321c6ccd617f6ad20c9b38aed34b90fed8af1b7182336fb95af",
+        2016: "d11531e22e22da922174f24e17bb83b32188d420b31b6430adae430207310ee4",
+        2201: "de7d09ff789fa3e2166bf9e3527dbf3079a78653ce70c8c3d1ceab23975b0458",
+    }
+    for cap, digest in pinned.items():
+        with pytest.raises(BudgetExceededError) as exc:
+            _stabilize(RunSeq([(p, 1) for p in prefix]), a, k, tol, sp, cap)
+        details = dict(exc.value.details)
+        metric = details.pop("current_metric")
+        assert details == {"phase": "stabilization", "appended": cap - 1, "term_cap": cap}
+        assert hashlib.sha256(metric.encode()).hexdigest() == digest
+
+
+def test_term_cap_below_one_rejected(line, lattice1):
+    w = ConvexWitness(((F(1), (F(0),)),))
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="term_cap"):
+            single_target_extend([], w, F(1, 10), 1, line, lattice1, term_cap=cap)
+        with pytest.raises(ValueError, match="term_cap"):
+            simultaneous_construct([], [(F(0),)], F(1, 4), IndexSet("all"), line, lattice1,
+                                   term_cap=cap)
 
 
 def test_simultaneous_rejects_bad_epsilon(line, lattice1):
