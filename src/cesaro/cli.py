@@ -99,6 +99,12 @@ def _section(cfg: dict, key: str, default: dict) -> dict:
     return _object(cfg.get(key, default), key)
 
 
+def _required(section: dict, key: str):
+    if key not in section:
+        raise ValueError(f"config key {key!r} is missing")
+    return section[key]
+
+
 def _list(raw, key: str) -> list:
     if not isinstance(raw, list):
         raise ValueError(f"config key {key!r} must be a list, got {raw!r}")
@@ -141,14 +147,15 @@ def space_from_config(cfg: dict) -> Space:
 
 def ground_from_config(cfg: dict, d: int) -> GroundSet:
     g = _section(cfg, "ground_set", {"kind": "lattice", "scale": "1"})
-    if g["kind"] == "explicit":
-        return GroundSet.explicit(_points(g["points"], "points"))
-    return GroundSet(g["kind"], d, scale=_rational(g.get("scale", "1"), "scale"))
+    kind = _required(g, "kind")
+    if kind == "explicit":
+        return GroundSet.explicit(_points(_required(g, "points"), "points"))
+    return GroundSet(kind, d, scale=_rational(g.get("scale", "1"), "scale"))
 
 
 def index_set_from_config(cfg: dict) -> IndexSet:
     idx = _section(cfg, "index_set", {"kind": "all"})
-    if idx["kind"] == "progression":
+    if _required(idx, "kind") == "progression":
         return IndexSet("progression", _integer(idx.get("offset", 1), "offset"),
                         _integer(idx.get("stride", 1), "stride"))
     return IndexSet(idx["kind"])
@@ -283,10 +290,10 @@ def _print_summary(trace: dict, space: Space, epsilon) -> None:
 
 @_mode("thm42", "epsilon", "k", "targets")
 def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    targets = _points(cfg["targets"], "targets")
+    targets = _points(_required(cfg, "targets"), "targets")
     if "k" in cfg and _integer(cfg["k"], "k") != len(targets):
         raise ValueError(f"config k={cfg['k']} but {len(targets)} targets are given")
-    epsilon = _rational(cfg["epsilon"], "epsilon")
+    epsilon = _rational(_required(cfg, "epsilon"), "epsilon")
     result = simultaneous_construct(
         [], targets, epsilon, index_set, space, ground, cache, term_cap
     )
@@ -302,12 +309,16 @@ def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
 
 @_mode("lemma33", "epsilon", "k", "witness")
 def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    epsilon = _rational(cfg["epsilon"], "epsilon")
+    epsilon = _rational(_required(cfg, "epsilon"), "epsilon")
     atoms = [_list(atom, "atoms")
-             for atom in _list(_section(cfg, "witness", {})["atoms"], "atoms")]
+             for atom in _list(_required(_section(cfg, "witness", {}), "atoms"), "atoms")]
+    for atom in atoms:
+        if len(atom) != 2:
+            raise ValueError(f"config key 'atoms': an atom must be a [weight, point] pair, "
+                             f"got {atom!r}")
     witness = ConvexWitness(tuple((_rational(c, "atoms"), _point(p, "atoms")) for c, p in atoms))
     result = single_target_extend(
-        [], witness, epsilon, _integer(cfg["k"], "k"), space, ground, term_cap
+        [], witness, epsilon, _integer(_required(cfg, "k"), "k"), space, ground, term_cap
     )
     trace = result.trace
     _write_text(out_dir / "trace.json", _json_text(trace))
@@ -319,8 +330,8 @@ def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) 
 
 @_mode("thm41", "plan")
 def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
-    plan = [_points(_object(entry, "plan")["targets"], "targets")
-            for entry in _list(cfg["plan"], "plan")]
+    plan = [_points(_required(_object(entry, "plan"), "targets"), "targets")
+            for entry in _list(_required(cfg, "plan"), "plan")]
     result = run_target_plan(plan, index_set, space, ground, cache, term_cap)
     payload = {"schema": 1, "kind": "thm41", "schedule": result.schedule,
                "entries": result.traces}
@@ -338,7 +349,7 @@ def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
 @_mode("dense", "dense")
 def _construct_dense(cfg, space, ground, index_set, cache, term_cap, out_dir) -> int:
     dense_cfg = _section(cfg, "dense", {})
-    enumeration = _points(dense_cfg["enumeration"], "enumeration")
+    enumeration = _points(_required(dense_cfg, "enumeration"), "enumeration")
     growth = growth_from_config(dense_cfg.get("growth"))
     terms = _integer(dense_cfg.get("terms", 2000), "terms")
     ks = [_integer(k, "ks") for k in _list(dense_cfg.get("ks", [1, 2]), "ks")]

@@ -26,6 +26,7 @@ run time; a failed check raises instead of producing an uncertified result.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 from math import factorial
 
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     SchedulingError,
     certify,
 )
-from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr, pow2
+from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr
 from .kernel import KernelCache, apply_iterate, default_cache
 # iterate_at is not called here; perfbench's tracer wraps it as construct.iterate_at
 from .sequences import IterateWalker, RunProbes, RunSeq, iterate_at  # noqa: F401
@@ -179,49 +180,63 @@ class ConvexWitness:
 # certified first hits
 # ---------------------------------------------------------------------------
 
-def _first_hit(walker: IterateWalker, seq: RunSeq, pattern, level: int, target: Point, tol,
-               space: Space, last: int) -> bool:
-    """Repeat lemma 3.3's ``pattern`` until the first j past the cursor with [T^level]_j within tol.
+def _first_hit(walker: IterateWalker, runs, levels, target: Point, tol, space: Space):
+    """The first index past the cursor, along ``runs``, with every level in ``levels`` within tol.
 
-    ``pattern`` is a cyclic list of (point, count) runs whose cycle starts
-    at the walker's cursor; each pushed run is appended to ``seq`` too.
-    Returns True with the cursor at that first hit, or False with the cursor
-    at index ``last`` when no index up to it hits.
-
-    Every iterate stays in the coordinate box of the terms, so a step from
-    index i to i + 1 moves [T^c] by at most width_r/(i + 1) in coordinate r,
-    and the metric to a fixed point by at most L/(i + 1), with
-    L = sum_r 2^-r * w_r * width_r (each metric term is 1-Lipschitz in its
-    seminorm).  A level failing at j with d_j >= tol therefore still fails
-    at j + t for every t <= s = floor((d_j - tol)(j + 1)/L), and those
-    indices are pushed as whole runs without being evaluated.
+    ``runs`` is an iterable of (point, count) runs that continue the walker's
+    sequence.  Returns (j, walker at j) for that first hit, or (None, walker
+    at the end of the runs) when no index hits.  Each run is cut into the
+    ``RunProbes`` pieces of the walker's top level, on which every level is
+    monotone, so each level's value inside a piece lies in the coordinate box
+    of its values at the piece ends; ``RunProbes.search`` skips every part
+    where some level's box stays at distance >= tol, and the piece's right
+    end is checked last.  An empty walker pushes the first term and tests
+    index 1 first, since a run needs a state to probe from.
     """
-    origin = walker.j
-    period = sum(c for _, c in pattern)
-    terms = [p for p, _ in seq.runs] + [p for p, _ in pattern]
-    lipschitz = sum((pow2(r) * w * (max(p[r - 1] for p in terms) - min(p[r - 1] for p in terms))
-                     for r, w in enumerate(space.weights, start=1)), ZERO)
-    while True:
-        step = 1
-        if walker.j:
-            dist = space.metric(walker.value(level), target)
-            if dist < tol and walker.j > origin:
-                return True
-            if dist >= tol and lipschitz:
-                step = floor_frac((dist - tol) * (walker.j + 1) / lipschitz) + 1
-        if walker.j >= last:
-            return False
-        step = min(step, last - walker.j)
-        while step:  # the rest of the cycle's current run; a one-run cycle never ends
-            i, rest = 0, (walker.j - origin) % period
-            while rest >= pattern[i][1]:
-                rest -= pattern[i][1]
-                i += 1
-            p = pattern[i][0]
-            count = step if len(pattern) == 1 else min(pattern[i][1] - rest, step)
-            walker.push_run(p, count)
-            seq.append(p, count)
-            step -= count
+    def misses(lo, hi):  # every index between the states lo and hi fails some level
+        return any(space.box_metric(lo.value(c), hi.value(c), target) >= tol for c in levels)
+
+    no_hit = (True, 0)  # any (False, j) beats it, and no miss (True, j) does
+    for p, count in runs:
+        if walker.j == 0:
+            walker.push(p)
+            if not misses(walker, walker):
+                return 1, walker
+            count -= 1
+            if count == 0:
+                continue
+        run = RunProbes(walker, p, count)
+        cuts = run.cuts(walker.k)
+        for l, r in zip(cuts, cuts[1:]):
+            best = min(run.search(l, r, misses, no_hit), (misses(run.at(r), run.at(r)), r))
+            if best != no_hit:
+                return best[1], run.at(best[1])
+        walker = run.at(run.b)
+    return None, walker
+
+
+def _doubling(p: Point, j: int, last: int):
+    """Runs of p taking the cursor from j to last through the windows (j, 2j]."""
+    while j < last:
+        count = min(max(j, 1), last - j)
+        yield p, count
+        j += count
+
+
+def _repeat(pattern, j: int, last: int):
+    """Runs of the cycled ``pattern`` taking the cursor from j to last.
+
+    A one-run pattern is one point, which goes by doubling windows instead.
+    """
+    if len(pattern) == 1:
+        yield from _doubling(pattern[0][0], j, last)
+        return
+    for p, count in cycle(pattern):
+        if j == last:
+            return
+        count = min(count, last - j)
+        yield p, count
+        j += count
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +311,18 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
     walker.push_seq(seq)
     rho0 = walker.j
     # n0 is always past the given prefix: at least one term is appended
-    if not _first_hit(walker, seq, pattern, k, x_prime, epsilon / 3, space, rho0 + term_cap):
+    n0, walker = _first_hit(walker, _repeat(pattern, rho0, rho0 + term_cap), [k], x_prime,
+                            epsilon / 3, space)
+    if n0 is None:
         raise BudgetExceededError(
             "term_cap", "iterate did not enter the eps/3 ball before the cap",
             appended=walker.j - rho0, term_cap=term_cap,
             current_metric=fracstr(space.metric(walker.value(k), x_prime)),
         )
-    n0 = walker.j
-    cycle = [p for p, c in pattern for _ in range(c)]
-    new_terms = [cycle[i % m] for i in range(n0 - rho0)]
+    new_terms = []
+    for p, count in _repeat(pattern, rho0, n0):
+        seq.append(p, count)
+        new_terms += [p] * count
 
     dist_xprime = space.metric(walker.value(k), x_prime)
     result = _certified_result(walker, seq, [k], [x], epsilon, space)
@@ -727,54 +745,30 @@ class SimultaneousResult:
     trace: dict
 
 
-def _level1_requirement(seq: RunSeq, a: Point, tol, space: Space) -> int:
-    """Smallest length v with [T^1]_v metric-within tol of a, in closed form.
-
-    Appending copies of a leaves [T^1]_v - a = drift/v with a constant drift
-    vector, so the first qualifying v comes out of a doubling + bisection
-    search instead of stepping.  This is also a hard lower bound for the
-    multi-level requirement.
-    """
-    rho0 = len(seq)
-    if rho0 == 0:
-        return 1
-    drift = psub(seq.prefix_sum(), pscale(rho0, a))
-    origin = pzero(space.dimension)
-
-    def metric_at(v: int) -> Fraction:
-        return space.metric(pscale(Fraction(1, v), drift), origin)
-
-    if metric_at(rho0) < tol:
-        return rho0
-    hi = rho0 + 1
-    while metric_at(hi) >= tol:
-        hi *= 2
-        if hi > 2**63:
-            raise BudgetExceededError(
-                "term_cap", "stabilization length overflows any plausible budget",
-                prefix=rho0,
-            )
-    lo = rho0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if metric_at(mid) < tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) -> int:
     """Append copies of `a` until every level's iterate is metric-within tol of a.
 
     Returns v1 (the certified length), the first index at which every level
-    passes.  Level 1 has a closed form, and no shorter length can pass at
-    level 1, so the walker absorbs the copies up to it in one run; from
-    there ``RunProbes.search`` skips the parts of doubling windows (j, 2j]
-    where some level provably still fails.  Hopeless runs fail loudly and immediately.
+    passes.  No shorter length can pass at level 1, and a level-1 walker
+    absorbs a run of any length at the same cost, so ``_first_hit`` first
+    finds the level-1 length over doubling windows (j, 2j] of `a` with no
+    cap, and a hopeless prefix fails loudly before any level-k walking.
+    From that length the same search runs on every level up to the cap.
     """
     rho0 = len(seq)
-    level1_v = _level1_requirement(seq, a, tol, space)
+
+    def first_pass(walker, levels, last):  # the cursor itself, then _first_hit past it
+        if walker.j and all(space.metric(walker.value(c), a) < tol for c in levels):
+            return walker.j, walker
+        return _first_hit(walker, _doubling(a, walker.j, last), levels, a, tol, space)
+
+    walker = IterateWalker(1, space.dimension)
+    walker.push_seq(seq)
+    level1_v, _ = first_pass(walker, [1], 2**63)
+    if level1_v is None:
+        raise BudgetExceededError(
+            "term_cap", "stabilization length overflows any plausible budget", prefix=rho0,
+        )
     if level1_v > term_cap:
         raise BudgetExceededError(
             "term_cap", "stabilization needs more terms than the cap",
@@ -784,27 +778,16 @@ def _stabilize(seq: RunSeq, a: Point, k: int, tol, space: Space, term_cap: int) 
     walker.push_seq(seq)
     walker.push_run(a, level1_v - rho0)
     levels = range(1, k + 1)
-
-    def misses(lo, hi):  # every index between the states lo and hi fails some level
-        return any(space.box_metric(lo.value(c), hi.value(c), a) >= tol for c in levels)
-
-    no_hit = (True, 0)  # any (False, j) beats it, and no miss (True, j) does
-    best = min(no_hit, (misses(walker, walker), walker.j))
-    while best == no_hit and walker.j < term_cap:
-        run = RunProbes(walker, a, min(2 * walker.j, term_cap) - walker.j)
-        cuts = run.cuts(k)
-        for l, r in zip(cuts, cuts[1:]):
-            best = min(run.search(l, r, misses, best), (misses(run.at(r), run.at(r)), r))
-        walker = run.at(run.b)
-    if best != no_hit:
-        seq.append(a, best[1] - rho0)
-        return best[1]
-    worst = max(space.metric(walker.value(level), a) for level in levels)
-    raise BudgetExceededError(
-        "term_cap", "stabilization did not converge before the cap",
-        phase="stabilization", appended=walker.j - rho0, term_cap=term_cap,
-        current_metric=fracstr(worst),
-    )
+    v1, walker = first_pass(walker, levels, term_cap)
+    if v1 is None:
+        worst = max(space.metric(walker.value(c), a) for c in levels)
+        raise BudgetExceededError(
+            "term_cap", "stabilization did not converge before the cap",
+            phase="stabilization", appended=walker.j - rho0, term_cap=term_cap,
+            current_metric=fracstr(worst),
+        )
+    seq.append(a, v1 - rho0)
+    return v1
 
 
 def _build_m0(targets, a: Point, epsilon, space: Space, ground: GroundSet) -> FinitePointSet:
@@ -922,6 +905,8 @@ def run_target_plan(plan, index_set: IndexSet, space: Space, ground: GroundSet,
     epsilon is clamped below 1/2, which only tightens the guarantee);
     indices are strictly increasing and admissible by construction.
     """
+    if not plan:
+        raise ValueError("need at least one plan entry")
     seq = RunSeq()
     schedule = []
     traces = []

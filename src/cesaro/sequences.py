@@ -13,7 +13,8 @@ constructions all go through it, and ``copy`` branches a walker (for
 instance to pad it with zeros) without walking the prefix again.
 
 ``RunProbes`` serves readers that need an extremum or a first hit over a run
-(in-block maxima, density minima, stabilization).  It cuts a run of p into
+(in-block maxima, density minima, and the first hits of lemma 3.3's n0 and
+of stabilization).  It cuts a run of p into
 pieces on which every coordinate of [T^c] is monotone, makes walker states
 from the nearest lower one, and ``search`` bisects a piece, skipping every
 part whose bound from its end states cannot beat the best so far.  Along the
@@ -269,7 +270,8 @@ class RunProbes:
         As x(j) - y(j) = (j-1)*(y(j) - y(j-1)), the step into j moves y along s
         exactly when P(j): s*(x(j) - y(j)) >= 0 (p cancels).  P persists on the
         piece, as s*y(j) <= s*x(j) <= s*x(j+1) puts the next step along s too,
-        so y turns at most once there, and bisection on P finds the turn.
+        so y turns at most once there, and bisection on P finds the turn (there is
+        none if P holds at l + 1 or fails at r).
         Where x(r) = x(l), x is constant on the piece and y moves monotonically toward it.
         """
         if level < 1:
@@ -281,28 +283,28 @@ class RunProbes:
         for l, r in zip(lower, lower[1:]):
             for i in range(len(self.p)):
                 x_l = self.at(l).value(level - 1)[i]
-                # x is monotone: a nonzero step into l + 1 (probed next anyway) gives s
-                step = (self.at(l + 1).value(level - 1)[i] - x_l
-                        or self.at(r).value(level - 1)[i] - x_l)
-                if step == 0:
+                # x is monotone: a move into l + 1 (probed next anyway) gives s
+                x_s = self.at(l + 1).value(level - 1)[i]
+                if x_s == x_l:
+                    x_s = self.at(r).value(level - 1)[i]
+                if x_s == x_l:
                     continue
-                sign = 1 if step > 0 else -1
+                rising = x_s > x_l  # compared, not subtracted: no big difference is normalized
 
-                def along(j):  # P(j): the step into j moves [T^level] along sign
-                    state = self.at(j)
-                    return sign * (state.value(level - 1)[i] - state.value(level)[i]) >= 0
+                def along(j):  # P(j): the step into j moves [T^level] along s
+                    x, y = self.at(j).value(level - 1)[i], self.at(j).value(level)[i]
+                    return x >= y if rising else x <= y
 
-                if along(l + 1):
+                if along(l + 1) or not along(r):
                     continue
-                lo, hi = l + 1, r + 1  # P(lo) is false; P(hi) is true or hi is past r
+                lo, hi = l + 1, r  # P(lo) is false, P(hi) is true
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
                     if along(mid):
                         hi = mid
                     else:
                         lo = mid
-                if lo < r:
-                    turns.add(lo)
+                turns.add(lo)
         return sorted({*lower, *turns})
 
     def search(self, l: int, r: int, bound, best):

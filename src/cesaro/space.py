@@ -212,6 +212,8 @@ class GroundSet:
     @classmethod
     def explicit(cls, points) -> "GroundSet":
         pts = tuple(point(*p) for p in points)
+        if not pts:
+            raise ValueError("explicit ground set needs points")
         return cls(kind="explicit", dimension=len(pts[0]), points=pts)
 
     def contains(self, p: Point) -> bool:

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from cesaro import audit as audit_mod
 from cesaro import cli
+from cesaro import construct as construct_mod
 from cesaro.cli import check_config_keys, growth_from_config, load_config, main
 from cesaro.construct import replay_trace
 from cesaro.space import Space
@@ -156,6 +158,42 @@ def test_audit_cli(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["failed"] == 0
     assert "wall_time_ms" not in payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "kernel", "--k-max", "2", "--n-max", "12"],
+    ["--suite", "oracle", "--samples", "20", "--seed", "5"],
+], ids=["kernel", "oracle"])
+def test_audit_suites_pass(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main(["audit", *argv, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["checked"] == payload["passed"] > 0
+    assert "counterexample:" not in capsys.readouterr().out
+
+
+def test_audit_failure_exits_3(monkeypatch, capsys):
+    # an oracle that disagrees with the kernel rows makes every instance a counterexample
+    original = audit_mod.apply_iterate_oracle
+    monkeypatch.setattr(audit_mod, "apply_iterate_oracle",
+                        lambda *args: tuple(c + 1 for c in original(*args)))
+    assert main(["audit", "--suite", "oracle", "--samples", "3", "--seed", "5"]) == 3
+    out = capsys.readouterr().out
+    assert "suite=oracle checked=3 passed=0 failed=3" in out
+    assert out.count("  counterexample: {'check': 'oracle'") == 3
+
+
+def test_certification_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # a final distance record that misses epsilon is a bug, not a bad config
+    original = construct_mod._distance_record
+    monkeypatch.setattr(construct_mod, "_distance_record",
+                        lambda *args: {**original(*args), "metric": "1"})
+    cfg = write_cfg(tmp_path, LEMMA33_CFG)
+    assert main(["construct", "--mode", "lemma33", "--config", cfg,
+                 "--out-dir", str(tmp_path / "run")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("certification failure (bug): final metric distance for level 2")
+    assert not (tmp_path / "run" / "trace.json").exists()
 
 
 def test_audit_unknown_suite():
@@ -366,14 +404,23 @@ def test_shipped_configs_pass_key_check():
      "'target_count' must be in 1..8, got -2"),
     ("dense", {**DENSE_CFG, "dense": {**DENSE_CFG["dense"], "target_count": 9}},
      "'target_count' must be in 1..8, got 9"),
+    ("thm42", {**THM42_CFG, "ground_set": {"kind": "explicit", "points": []}},
+     "explicit ground set needs points"),
+    ("thm42", {**THM42_CFG, "ground_set": {"kind": "explicit"}},
+     "config key 'points' is missing"),
+    ("thm41", {**PLAN_CFG, "plan": []}, "need at least one plan entry"),
+    ("lemma33", {key: v for key, v in LEMMA33_CFG.items() if key != "epsilon"},
+     "config key 'epsilon' is missing"),
 ], ids=["array", "ground-kind-typo", "index-kind-typo", "budgets-array", "growth-string",
-        "dense-no-terms", "target-count-negative", "target-count-past-enumeration"])
+        "dense-no-terms", "target-count-negative", "target-count-past-enumeration",
+        "explicit-no-points", "explicit-points-missing", "plan-empty", "epsilon-missing"])
 def test_config_shape_errors_exit_1(tmp_path, capsys, mode, payload, message):
     cfg = write_cfg(tmp_path, payload)
     assert main(["construct", "--mode", mode, "--config", cfg,
                  "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run" / "trace.json").exists()
 
 
 @pytest.mark.parametrize("mode, payload, message", [
@@ -394,9 +441,11 @@ def test_config_shape_errors_exit_1(tmp_path, capsys, mode, payload, message):
      "'term_cap' must be at least 1, got 0"),
     ("lemma33", {**LEMMA33_CFG, "budgets": {"term_cap": -3}},
      "'term_cap' must be at least 1, got -3"),
+    ("lemma33", {**LEMMA33_CFG, "witness": {"atoms": [["1/2"]]}},
+     "'atoms': an atom must be a [weight, point] pair, got ['1/2']"),
 ], ids=["epsilon-float", "target-not-a-list", "atom-weight-float", "plan-entry-array",
         "term-cap-array", "terms-float", "ks-bool", "terms-decimal-string", "term-cap-zero",
-        "term-cap-negative"])
+        "term-cap-negative", "atom-not-a-pair"])
 def test_config_type_errors_exit_1(tmp_path, capsys, mode, payload, message):
     cfg = write_cfg(tmp_path, payload)
     assert main(["construct", "--mode", mode, "--config", cfg,

@@ -28,7 +28,7 @@ from cesaro import (
     simultaneous_construct,
 )
 from cesaro.construct import _block_seminorm_max, _stabilize, partition_min_m
-from cesaro.exact import ceil_frac, frac
+from cesaro.exact import ceil_frac, frac, fracstr
 from cesaro.sequences import IterateWalker, RunSeq, iterate_at
 from cesaro.space import (
     FinitePointSet,
@@ -124,9 +124,9 @@ def test_extend_term_cap(line, lattice1):
     w = ConvexWitness(((F(1, 2), (F(0),)), (F(1, 2), (F(1),))))
     with pytest.raises(BudgetExceededError):
         single_target_extend([], w, F(1, 10), 3, line, lattice1, term_cap=50)
-    # caps inside a skip of the first-hit search (it evaluates 94 and 115,
-    # 986 and 1023, 1500 and 1522, 1999 and 2002) exit exactly as a per-index
-    # loop does, with the metric at the cap index; SHA-256 of that metric
+    # caps inside runs of the repeated 61-term tuple (31 zeros, 30 ones; no
+    # cap is a run end) exit exactly as a per-index loop does, with the metric
+    # at the cap index; SHA-256 of that metric
     pinned = {
         100: "2d8dbe413386536a52ee981fc983230befbf7d5b6c623176eed15c95ad9b8969",
         1000: "aac7b8155adcb527f75a9660ab74c595c2ffbb96bb429f75dc94872b007e4829",
@@ -142,9 +142,16 @@ def test_extend_term_cap(line, lattice1):
         assert hashlib.sha256(metric.encode()).hexdigest() == digest
 
 
-def test_extend_k3_midpoint_trace_pinned(line, lattice1):
+def test_extend_k3_midpoint_trace_pinned(line, lattice1, monkeypatch):
     w = ConvexWitness(((F(1, 2), (F(0),)), (F(1, 2), (F(1),))))
+    # a search that evaluates every index still finds 2064, so only the count
+    # of walker states it makes guards its cost (141 when this was written)
+    copies = []
+    original = IterateWalker.copy
+    monkeypatch.setattr(IterateWalker, "copy", lambda self: copies.append(self.j) or original(self))
     res = single_target_extend([], w, F(1, 10), 3, line, lattice1)
+    monkeypatch.undo()
+    assert len(copies) <= 160
     assert res.n0 == 2064
     digest = hashlib.sha256(json.dumps(res.trace, sort_keys=True).encode()).hexdigest()
     assert digest == "b065d22647b2d186c0aa7585c654633af1253375c6312bfe43b6d93f17134adc"
@@ -164,11 +171,24 @@ def _witness_cases():
                 prefix = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
                           for _ in range(prefix_len)]
                 yield k, space, witness, prefix, rng.choice([F(1, 4), F(2, 5)])
+    # three atoms: a cycle of three runs, so hits fall inside and between runs
+    rng = random.Random(333)
+    for k in (1, 2, 3):
+        for d in (1, 2):
+            for prefix_len in (0, 2):
+                grid = [tuple(F(c) for c in p) for p in product((-1, 0, 1), repeat=d)]
+                raw = [rng.randint(1, 4) for _ in range(3)]
+                witness = ConvexWitness(tuple((F(r, sum(raw)), p)
+                                              for r, p in zip(raw, rng.sample(grid, 3))))
+                prefix = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+                          for _ in range(prefix_len)]
+                yield k, Space(d), witness, prefix, rng.choice([F(1, 4), F(1, 5)])
 
 
 def test_extend_first_hit_matches_per_index_scan():
     # n0 is the first index past the prefix at which [T^k] is within eps/3 of
-    # x'; an independent scan pushes the repeated tuple one index at a time
+    # x'; an independent scan pushes the repeated tuple one index at a time.
+    # A cap short of n0 exits with the metric at the cap index.
     for k, space, witness, prefix, eps in _witness_cases():
         ground = GroundSet.lattice(space.dimension)
         res = single_target_extend(prefix, witness, eps, k, space, ground)
@@ -177,17 +197,23 @@ def test_extend_first_hit_matches_per_index_scan():
         scan = IterateWalker(k, space.dimension)
         for p in prefix:
             scan.push(p)
-        terms = []
+        terms, metrics = [], []
         while True:
             terms.append(cycle[len(terms) % len(cycle)])
             scan.push(terms[-1])
-            if space.metric(scan.value(k), x_prime) < eps / 3:
+            metrics.append(space.metric(scan.value(k), x_prime))
+            if metrics[-1] < eps / 3:
                 break
         n0 = len(prefix) + len(terms)
-        assert res.n0 == n0
+        assert res.n0 == n0 < 1500
         assert res.new_terms == terms
         assert res.seq.runs == RunSeq([(p, 1) for p in prefix + terms]).runs
         assert space.metric(iterate_at(k, res.seq, n0), x_prime) < eps / 3
+        for cap in {1, len(terms) // 2, len(terms) - 1} - {0, len(terms)}:
+            with pytest.raises(BudgetExceededError) as exc:
+                single_target_extend(prefix, witness, eps, k, space, ground, term_cap=cap)
+            assert exc.value.details == {"appended": cap, "term_cap": cap,
+                                         "current_metric": fracstr(metrics[cap - 1])}
 
 
 # --- chains and partitions ---------------------------------------------------
@@ -471,6 +497,15 @@ def test_stabilize_window_search_pinned(monkeypatch):
         metric = details.pop("current_metric")
         assert details == {"phase": "stabilization", "appended": cap - 1, "term_cap": cap}
         assert hashlib.sha256(metric.encode()).hexdigest() == digest
+
+
+def test_stabilize_level1_overflow():
+    # after the prefix (1,) and copies of 0, [T^1]_v = 1/v, so no length up
+    # to 2^63 comes within 10^-30 of 0: the level-1 search exits loudly
+    with pytest.raises(BudgetExceededError,
+                       match="stabilization length overflows any plausible budget") as exc:
+        _stabilize(RunSeq([((F(1),), 1)]), (F(0),), 2, F(1, 10**30), Space(1), 10**6)
+    assert exc.value.details == {"prefix": 1}
 
 
 def test_term_cap_below_one_rejected(line, lattice1):
