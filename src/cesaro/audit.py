@@ -20,7 +20,7 @@ from .kernel import (
     convexity_expansion,
     default_cache,
 )
-from .sequences import IterateWalker, RunProbes, RunSeq
+from .sequences import IterateWalker, RunSeq, pieces
 from .space import Space, padd, pcombine, pscale, pzero
 
 MAX_STORED_COUNTEREXAMPLES = 25
@@ -308,12 +308,12 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     of ks and each target, the smallest metric distance over indices up to
     `length` and the first index where it occurs; the minimum is a running
     one, so it is nonincreasing in `length` by construction.  One walker
-    holds every requested level.  Each run is split at the ``RunProbes``
-    cuts of the highest requested level, which refine those of every lower
-    level, and at the checkpoints; every level is searched on each piece by
-    ``RunProbes.search`` with the box bound ``Space.box_metric``, so only the
-    indices whose distance could still be the minimum are evaluated.  This
-    is an empirical closeness measurement, not a density proof.
+    holds every requested level, and the prefix is walked as the ``pieces``
+    of the highest one, which refine those of every lower level, with the
+    checkpoints as marks; ``RunProbes.search`` with the box bound
+    ``Space.box_metric`` evaluates only the indices whose distance could
+    still be the minimum.  This is an empirical closeness measurement, not a
+    density proof.
     """
     seq = prefix if isinstance(prefix, RunSeq) else RunSeq([(p, 1) for p in prefix])
     total = len(seq)
@@ -328,43 +328,18 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     # a tie keeps the earlier index; rows stay grouped by entry of ks
     best = [[(1, 0)] * len(targets) for _ in ks]  # every metric is below 1
     rows = [[] for _ in ks]
-
-    def visit(j, state):
+    for run, l, r in pieces(walker, seq.runs, walker.k, marks):
         for pos, k in enumerate(ks):
             for t, target in enumerate(targets):
-                best[pos][t] = min(best[pos][t], (space.metric(state.value(k), target), j))
-
-    def emit(j):
-        for pos, k in enumerate(ks):
-            for t in range(len(targets)):
-                rows[pos].append({
-                    "length": j, "k": k, "target_id": t,
-                    "min_metric": fracstr(best[pos][t][0]),
-                    "at_index": best[pos][t][1],
-                })
-
-    for p, count in seq.runs:
-        if walker.j == 0:  # the first term has no earlier state to probe from
-            walker.push(p)
-            visit(1, walker)
-            if 1 in marks:
-                emit(1)
-            count -= 1
-            if count == 0:
-                continue
-        run = RunProbes(walker, p, count)
-        cuts = sorted({*run.cuts(walker.k), *(m for m in marks if run.a < m < run.b)})
-        for l, r in zip(cuts, cuts[1:]):
-            visit(r, run.at(r))
-            for pos, k in enumerate(ks):
-                for t, target in enumerate(targets):
-                    best[pos][t] = run.search(
-                        l, r, lambda lo, hi: space.box_metric(lo.value(k), hi.value(k), target),
-                        best[pos][t])
-            run.release(r)
-            if r in marks:
-                emit(r)
-        walker = run.at(run.b)
+                best[pos][t] = run.search(
+                    l, r, lambda lo, hi: space.box_metric(lo.value(k), hi.value(k), target),
+                    best[pos][t])
+                if r in marks:
+                    rows[pos].append({
+                        "length": r, "k": k, "target_id": t,
+                        "min_metric": fracstr(best[pos][t][0]),
+                        "at_index": best[pos][t][1],
+                    })
     return [row for group in rows for row in group]
 
 

@@ -39,7 +39,7 @@ from .errors import (
 from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr
 from .kernel import KernelCache, apply_iterate, default_cache
 # iterate_at is not called here; perfbench's tracer wraps it as construct.iterate_at
-from .sequences import IterateWalker, RunProbes, RunSeq, iterate_at  # noqa: F401
+from .sequences import IterateWalker, RunSeq, iterate_at, pieces  # noqa: F401
 from .space import (
     FinitePointSet,
     GroundSet,
@@ -183,35 +183,19 @@ class ConvexWitness:
 def _first_hit(walker: IterateWalker, runs, levels, target: Point, tol, space: Space):
     """The first index past the cursor, along ``runs``, with every level in ``levels`` within tol.
 
-    ``runs`` is an iterable of (point, count) runs that continue the walker's
-    sequence.  Returns (j, walker at j) for that first hit, or (None, walker
-    at the end of the runs) when no index hits.  Each run is cut into the
-    ``RunProbes`` pieces of the walker's top level, on which every level is
-    monotone, so each level's value inside a piece lies in the coordinate box
-    of its values at the piece ends; ``RunProbes.search`` skips every part
-    where some level's box stays at distance >= tol, and the piece's right
-    end is checked last.  An empty walker pushes the first term and tests
-    index 1 first, since a run needs a state to probe from.
+    Returns (j, walker at j), or (None, walker at the end of the runs) when no
+    index hits.  The runs are walked as the ``pieces`` of the walker's top
+    level, and ``RunProbes.search`` descends only into parts where no level's
+    box stays at distance >= tol.
     """
     def misses(lo, hi):  # every index between the states lo and hi fails some level
         return any(space.box_metric(lo.value(c), hi.value(c), target) >= tol for c in levels)
 
-    no_hit = (True, 0)  # any (False, j) beats it, and no miss (True, j) does
-    for p, count in runs:
-        if walker.j == 0:
-            walker.push(p)
-            if not misses(walker, walker):
-                return 1, walker
-            count -= 1
-            if count == 0:
-                continue
-        run = RunProbes(walker, p, count)
-        cuts = run.cuts(walker.k)
-        for l, r in zip(cuts, cuts[1:]):
-            best = min(run.search(l, r, misses, no_hit), (misses(run.at(r), run.at(r)), r))
-            if best != no_hit:
-                return best[1], run.at(best[1])
-        walker = run.at(run.b)
+    for run, l, r in pieces(walker, runs, walker.k):
+        missed, j = run.search(l, r, misses, (True, 0))  # no miss (True, j) beats (True, 0)
+        if not missed:
+            return j, run.at(j)
+        walker = run.at(r)
     return None, walker
 
 
@@ -543,18 +527,16 @@ def _block_seminorm_max(walker: IterateWalker, runs, level: int, rhos, space: Sp
     """Walk a block's runs; return each seminorm's in-block maximum and the end walker.
 
     The maximum of |[T^level]_j|_rho runs over every index j of the block.
-    Each coordinate is monotone between a run's cuts, so it peaks at the
-    run's first index or at a cut, and only those indices are evaluated.
+    Each coordinate is monotone on a piece, so it peaks at an end: r, or on
+    a run's first piece, whose l is the index before the run, l + 1.
     """
     block_max = {rho: ZERO for rho in rhos}
-    for p, count in runs:
-        run = RunProbes(walker, p, count)
-        for j in sorted({run.a + 1, *run.cuts(level)[1:]}):
+    for run, l, r in pieces(walker, runs, level):
+        for j in sorted({l + 1, r} if l == run.a else {r}):
             value = run.at(j).value(level)
             for rho in rhos:
                 block_max[rho] = max(block_max[rho], space.seminorm(rho, value))
-            run.release(j)
-        walker = run.at(run.b)
+        walker = run.at(r)
     return block_max, walker
 
 

@@ -16,7 +16,6 @@ if sys.get_int_max_str_digits() < 2_000_000:
     sys.set_int_max_str_digits(2_000_000)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:

@@ -12,21 +12,22 @@ that walks a sequence's runs up to an index; ``iterate_at`` and the
 constructions all go through it, and ``copy`` branches a walker (for
 instance to pad it with zeros) without walking the prefix again.
 
-``RunProbes`` serves readers that need an extremum or a first hit over a run
-(in-block maxima, density minima, and the first hits of lemma 3.3's n0 and
-of stabilization).  It cuts a run of p into
-pieces on which every coordinate of [T^c] is monotone, makes walker states
-from the nearest lower one, and ``search`` bisects a piece, skipping every
-part whose bound from its end states cannot beat the best so far.  Along the
-run level c moves toward level c - 1, so on each monotone piece of level
-c - 1 a coordinate of level c turns at most once, where bisection finds it;
-level 1 needs no interior cut.
+``pieces`` is the one walk for readers that need an extremum or a first hit
+over runs (in-block maxima, density minima, and the first hits of lemma
+3.3's n0 and of stabilization).  It cuts each run of p into pieces (l, r] on
+which every coordinate of [T^c] is monotone, and ``RunProbes`` makes the
+walker states from the nearest lower one.  ``RunProbes.search`` reads a
+piece's right end and bisects the inside, skipping every part whose bound
+from its end states cannot beat the best so far.  Along the run level c
+moves toward level c - 1, so on each monotone piece of level c - 1 a
+coordinate of level c turns at most once, where bisection finds it; level 1
+needs no interior cut.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .space import Point, padd, pcombine, pscale, pzero
+from .space import Point, padd, pscale, pzero
 
 
 class RunSeq:
@@ -79,10 +80,6 @@ class RunSeq:
         if not self.runs:
             raise ValueError("empty sequence has no dimension")
         return len(self.runs[0][0])
-
-    def prefix_sum(self) -> Point:
-        """Sum of all terms (vector)."""
-        return pcombine(((c, p) for p, c in self.runs), self.dimension)
 
 
 # Index ranges up to this length are multiplied out term by term; longer ones
@@ -227,7 +224,7 @@ class IterateWalker:
 class RunProbes:
     """Walker states inside one run of p, and the run's monotone pieces.
 
-    The run takes the cursor a >= 1 of ``walker`` to b = a + count; the
+    The run takes the cursor a >= 1 of ``walker`` to b = a + count >= a; the
     walker itself is left unchanged.  ``at(j)`` is the state at index j,
     made from the nearest lower state held by ``copy`` and ``push_run``;
     states live only as long as this object, and ``release`` drops the ones
@@ -238,8 +235,8 @@ class RunProbes:
     def __init__(self, walker: IterateWalker, p: Point, count: int):
         if walker.j < 1:
             raise ValueError("a run needs a walker past its first term")
-        if count < 1:
-            raise ValueError("a run needs at least one term")
+        if count < 0:
+            raise ValueError("run count must be nonnegative")
         self.p = tuple(p)
         self.a = walker.j
         self.b = walker.j + count
@@ -308,16 +305,48 @@ class RunProbes:
         return sorted({*lower, *turns})
 
     def search(self, l: int, r: int, bound, best):
-        """Lexicographic minimum of best and (bound(at(j), at(j)), j) over l < j < r.
+        """Lexicographic minimum of best and (bound(at(j), at(j)), j) over l < j <= r.
 
         On a piece of ``cuts``, bound(at(l), at(r)) must bound each value inside from below.
+        The right end is read first; the inside is bisected, skipping every part
+        whose (bound, first index) cannot beat the best so far.
         """
-        if r - l < 2 or (bound(self.at(l), self.at(r)), l + 1) >= best:
-            return best
-        mid = (l + r) // 2
-        best = min(best, (bound(self.at(mid), self.at(mid)), mid))
-        best = self.search(l, mid, bound, best)
-        return self.search(mid, r, bound, best)
+        best = min(best, (bound(self.at(r), self.at(r)), r))
+        while r - l >= 2 and (bound(self.at(l), self.at(r)), l + 1) < best:
+            mid = (l + r) // 2
+            best = self.search(l, mid, bound, best)
+            l = mid
+        return best
+
+
+def pieces(walker: IterateWalker, runs, level: int, marks=()):
+    """Yield (run, l, r): the runs past the walker's cursor, cut into monotone pieces.
+
+    ``runs`` is an iterable of (point, count) runs that continue the walker's
+    sequence.  Every index past the cursor lies in exactly one (l, r], in
+    order: l is the cursor or the previous piece's r.  Each run is cut at
+    ``RunProbes.cuts(level)``, so every coordinate of [T^c], c <= level, is
+    monotone on [l, r], and at the marks inside it, so every mark up to the
+    end of the runs is some piece's r.  ``run`` is the piece's ``RunProbes``;
+    its states before r are released when the next piece is asked for, and
+    the last piece's ``run.at(r)`` is the state at the end of the runs.  An
+    empty walker takes the first term by ``push`` as the piece (0, 1), whose
+    left end has no state: a run needs a state to probe from.  Runs of zero
+    terms are skipped.
+    """
+    for p, count in runs:
+        if count and walker.j == 0:
+            walker.push(p)
+            count -= 1
+            yield RunProbes(walker, p, count), 0, 1
+        if count == 0:
+            continue
+        run = RunProbes(walker, p, count)
+        cuts = sorted({*run.cuts(level), *(m for m in marks if run.a < m < run.b)})
+        for l, r in zip(cuts, cuts[1:]):
+            yield run, l, r
+            run.release(r)
+        walker = run.at(run.b)
 
 
 def iterate_at(k: int, seq: RunSeq, n: int) -> Point:

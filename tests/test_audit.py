@@ -16,9 +16,10 @@ from cesaro import (
     dense_example,
     take_prefix,
 )
-from cesaro.exact import frac, fracstr
-from cesaro.sequences import IterateWalker, RunSeq, iterate_at
+from cesaro.exact import frac
+from cesaro.sequences import RunSeq, iterate_at
 from cesaro.space import Space, point
+from reference import density_reference
 
 F = Fraction
 
@@ -152,35 +153,6 @@ def test_density_levels_share_one_walk():
     rows = audit_density(seq, targets, [2, 1, 2], sp, checkpoints=marks)
     singles = [audit_density(seq, targets, [k], sp, checkpoints=marks) for k in (2, 1, 2)]
     assert rows == singles[0] + singles[1] + singles[2]
-
-
-def density_reference(prefix, targets, ks, space, checkpoints=None):
-    """audit_density by one push and one exact metric per index and target."""
-    seq = prefix if isinstance(prefix, RunSeq) else RunSeq([(p, 1) for p in prefix])
-    total = len(seq)
-    if checkpoints is None:
-        step = max(1, total // 10)
-        checkpoints = sorted(set(list(range(step, total + 1, step)) + [total]))
-    marks = set(int(c) for c in checkpoints if 1 <= int(c) <= total)
-    walker = IterateWalker(max(ks, default=1), space.dimension)
-    best = [[(None, None)] * len(targets) for _ in ks]
-    rows = [[] for _ in ks]
-    for p in seq.iter_points():
-        walker.push(p)
-        for pos, k in enumerate(ks):
-            value = walker.value(k)
-            for t, target in enumerate(targets):
-                dist = space.metric(value, target)
-                if best[pos][t][0] is None or dist < best[pos][t][0]:
-                    best[pos][t] = (dist, walker.j)
-            if walker.j in marks:
-                for t in range(len(targets)):
-                    rows[pos].append({
-                        "length": walker.j, "k": k, "target_id": t,
-                        "min_metric": fracstr(best[pos][t][0]),
-                        "at_index": best[pos][t][1],
-                    })
-    return [row for group in rows for row in group]
 
 
 @st.composite

@@ -27,7 +27,7 @@ from cesaro import (
     run_target_plan,
     simultaneous_construct,
 )
-from cesaro.construct import _block_seminorm_max, _stabilize, partition_min_m
+from cesaro.construct import _block_seminorm_max, _first_hit, _stabilize, partition_min_m
 from cesaro.exact import ceil_frac, frac, fracstr
 from cesaro.sequences import IterateWalker, RunSeq, iterate_at
 from cesaro.space import (
@@ -39,6 +39,7 @@ from cesaro.space import (
     delta,
     point,
 )
+from reference import block_max_reference, first_hit_scan, lemma33_scan, stabilize_per_index
 
 F = Fraction
 
@@ -194,16 +195,7 @@ def test_extend_first_hit_matches_per_index_scan():
         res = single_target_extend(prefix, witness, eps, k, space, ground)
         x_prime = point(*res.trace["x_prime"])
         cycle = [p for (_, p), c in zip(witness.atoms, res.trace["counts"]) for _ in range(c)]
-        scan = IterateWalker(k, space.dimension)
-        for p in prefix:
-            scan.push(p)
-        terms, metrics = [], []
-        while True:
-            terms.append(cycle[len(terms) % len(cycle)])
-            scan.push(terms[-1])
-            metrics.append(space.metric(scan.value(k), x_prime))
-            if metrics[-1] < eps / 3:
-                break
+        terms, metrics = lemma33_scan(prefix, cycle, k, x_prime, eps / 3, space)
         n0 = len(prefix) + len(terms)
         assert res.n0 == n0 < 1500
         assert res.new_terms == terms
@@ -214,6 +206,51 @@ def test_extend_first_hit_matches_per_index_scan():
                 single_target_extend(prefix, witness, eps, k, space, ground, term_cap=cap)
             assert exc.value.details == {"appended": cap, "term_cap": cap,
                                          "current_metric": fracstr(metrics[cap - 1])}
+
+
+# two first hits inside runs, each on a piece that only the cuts of the top
+# level (3) separate from its run's ends: cut at level 1, both searches miss
+FIRST_HITS = [
+    ([F(1, 2)], [(F(-5, 2), 5), (F(1), 55), (F(-1), 12), (F(-1), 21)], F(-1), F(1, 20), [3], 11),
+    ([F(5, 2), F(-1), F(-3, 4)], [(F(-6), 1), (F(3), 47), (F(3, 2), 29)], F(0), F(1, 4),
+     [1, 2, 3], 7),
+]
+
+
+def _first_hit_cases():
+    """Seeded problems: k = 2..4, d = 1, 2, prefix of 0-4 terms, 1-5 runs of 1-60 terms."""
+    rng = random.Random(44)
+
+    def coord():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(40):
+        k, d = rng.randint(2, 4), rng.randint(1, 2)
+        prefix = [tuple(coord() for _ in range(d)) for _ in range(rng.randint(0, 4))]
+        runs = [(tuple(coord() for _ in range(d)), rng.randint(1, 60))
+                for _ in range(rng.randint(1, 5))]
+        levels = sorted(rng.sample(range(1, k + 1), rng.randint(1, k)))
+        # the target is one level's value at one index past the prefix, so
+        # that level passes through it
+        seq = RunSeq([(p, 1) for p in prefix] + runs)
+        target = iterate_at(rng.choice(levels), seq, rng.randint(len(prefix) + 1, len(seq)))
+        yield k, Space(d), prefix, runs, target, F(1, rng.randint(4, 40)), levels
+
+
+def test_first_hit_matches_per_index_scan():
+    cases = [(3, Space(1), [(x,) for x in prefix], [((p,), c) for p, c in runs], (target,), tol,
+              levels) for prefix, runs, target, tol, levels, _ in FIRST_HITS]
+    found = []
+    for k, space, prefix, runs, target, tol, levels in [*cases, *_first_hit_cases()]:
+        walker = IterateWalker(k, space.dimension)
+        for p in prefix:
+            walker.push(p)
+        expected, end = first_hit_scan(walker, runs, levels, target, tol, space)
+        j, state = _first_hit(walker.copy(), runs, levels, target, tol, space)
+        assert (j, state.j, state.values) == (expected, end.j, end.values)
+        found.append(j)
+    assert found[:2] == [hit for *_, hit in FIRST_HITS]
+    assert found.count(None) < len(found) // 2
 
 
 # --- chains and partitions ---------------------------------------------------
@@ -352,13 +389,7 @@ def test_block_seminorm_max_matches_per_index(data, level):
         walker.push_run(p, count)
     rhos = range(1, space.dimension + 1)
     block_max, end = _block_seminorm_max(walker, runs, level, rhos, space)
-    twin = walker.copy()
-    expected = {rho: F(0) for rho in rhos}
-    for p, count in runs:
-        for _ in range(count):
-            twin.push(p)
-            for rho in rhos:
-                expected[rho] = max(expected[rho], space.seminorm(rho, twin.value(level)))
+    expected, twin = block_max_reference(walker, runs, level, rhos, space)
     assert block_max == expected
     assert (end.j, end.values) == (twin.j, twin.values)
 
@@ -426,15 +457,6 @@ def test_simultaneous_k2_fails_loudly(line, lattice1, cache):
     assert str(err.details["m0"]) in str(err)
 
 
-def _stabilize_per_index(prefix, a, k, tol, sp):
-    """The first index from the prefix's end on with every level within tol of a, step by step."""
-    walker = IterateWalker(k, sp.dimension)
-    walker.push_seq(RunSeq([(p, 1) for p in prefix]))
-    while not all(sp.metric(walker.value(c), a) < tol for c in range(1, k + 1)):
-        walker.push(a)
-    return walker.j
-
-
 def test_stabilize_multilevel_from_prefix():
     # v1 is the first index at which every level passes, walked index by index;
     # the two fixed cases pass at exactly the padded level-1 length
@@ -452,7 +474,7 @@ def test_stabilize_multilevel_from_prefix():
         v1 = _stabilize(seq, a, k, tol, sp, 10**6)
         assert v1 < 500
         assert seq.runs == RunSeq([(p, 1) for p in prefix] + [(a, v1 - len(prefix))]).runs
-        assert v1 == _stabilize_per_index(prefix, a, k, tol, sp)
+        assert v1 == stabilize_per_index(prefix, a, k, tol, sp)
     # caps before the first hit exit exactly as a per-index loop does, with
     # the metric at the cap index
     exits = [
@@ -482,7 +504,7 @@ def test_stabilize_window_search_pinned(monkeypatch):
     v1 = _stabilize(RunSeq([(p, 1) for p in prefix]), a, k, tol, sp, 10**6)
     assert len(copies) <= 40
     monkeypatch.undo()
-    assert v1 == _stabilize_per_index(prefix, a, k, tol, sp) == 2202
+    assert v1 == stabilize_per_index(prefix, a, k, tol, sp) == 2202
     # caps inside a window, on a window edge and one short of the hit exit
     # with the metric at the cap index; SHA-256 of that metric
     pinned = {

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro.kernel import apply_iterate_oracle
-from cesaro.sequences import IterateWalker, RunProbes, RunSeq, iterate_at
+from cesaro.sequences import IterateWalker, RunProbes, RunSeq, iterate_at, pieces
 from cesaro.space import padd, psub
 
 F = Fraction
@@ -205,3 +205,47 @@ def test_run_cuts_pinned_level_three():
         RunProbes(IterateWalker(2, 1), (F(1),), 3)
     with pytest.raises(ValueError):
         run.at(47)
+
+
+@st.composite
+def walker_runs_marks(draw):
+    """A walker at some cursor (0 included), runs of up to 60 terms, a level and marks."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 2))
+    point = st.tuples(*[small_fraction] * d)
+    prefix = draw(st.lists(st.tuples(point, st.integers(1, 20)), max_size=3))
+    runs = draw(st.lists(st.tuples(point, st.integers(0, 60)), min_size=1, max_size=4))
+    total = sum(c for _, c in prefix) + sum(c for _, c in runs)
+    marks = draw(st.sets(st.integers(0, total + 2), max_size=6))
+    return k, d, prefix, runs, draw(st.integers(1, k)), marks
+
+
+@settings(max_examples=40, deadline=None)
+@given(walker_runs_marks())
+def test_pieces_cover_the_runs_monotonically(data):
+    k, d, prefix, runs, level, marks = data
+    walker = IterateWalker(k, d)
+    for p, count in prefix:
+        walker.push_run(p, count)
+    cursor = walker.j
+    twin = walker.copy()
+    states = {cursor: list(twin.values)}
+    for p, count in runs:
+        for _ in range(count):
+            twin.push(p)
+            states[twin.j] = list(twin.values)
+    seen = []
+    for run, l, r in pieces(walker, runs, level, marks):
+        assert l == (seen[-1][1] if seen else cursor) < r
+        assert run.at(r).values == states[r]
+        seen.append((l, r))
+    # (l, r] follow each other from the cursor to the end: each index once, in order
+    ends = [r for _, r in seen]
+    assert (ends[-1] if seen else cursor) == twin.j
+    if cursor == 0 and seen:
+        assert seen[0] == (0, 1)
+    assert {m for m in marks if cursor < m <= twin.j} <= set(ends)
+    for l, r in seen:
+        for c in range(level):
+            for i in range(d):
+                assert is_monotone([states[j][c][i] for j in range(max(l, 1), r + 1)])
