@@ -8,11 +8,12 @@ bounded.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import factorial
 
-from .exact import ZERO, frac, fracstr, iterate_entry_bound, log_upper
+from .construct import unit_interval_check
+from .exact import ZERO, frac, iterate_entry_bound, log_upper, render
 from .kernel import (
     KernelCache,
     apply_iterate,
@@ -39,27 +40,21 @@ class AuditReport:
     wall_time_ms: float | None = None
 
     def record(self, ok: bool, detail=None) -> None:
+        """Count one check; a failed one stores its detail, written by ``render``."""
         self.checked += 1
         if ok:
             self.passed += 1
             return
         self.failed += 1
         if detail is not None and len(self.counterexamples) < MAX_STORED_COUNTEREXAMPLES:
-            self.counterexamples.append(detail)
+            self.counterexamples.append(render(detail))
 
     def to_json(self, include_timing: bool = False) -> dict:
         # timing is opt-in so that identical (config, seed) runs serialize
         # byte-identically
-        out = {
-            "suite": self.suite,
-            "params": self.params,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "counterexamples": self.counterexamples,
-        }
-        if include_timing and self.wall_time_ms is not None:
-            out["wall_time_ms"] = self.wall_time_ms
+        out = render({f.name: getattr(self, f.name) for f in fields(self)})
+        if not include_timing or self.wall_time_ms is None:
+            del out["wall_time_ms"]
         return out
 
     @classmethod
@@ -107,7 +102,7 @@ def audit_kernel(k_max: int, n_max: int, cache: KernelCache | None = None) -> Au
             row = cache.row(k, n)
             row_sum = sum(row, ZERO)
             report.record(row_sum == 1, {
-                "check": "row_sum", "k": k, "n": n, "sum": fracstr(row_sum),
+                "check": "row_sum", "k": k, "n": n, "sum": row_sum,
             })
             report.record(
                 all(row[m] >= row[m + 1] for m in range(n - 1)),
@@ -127,7 +122,7 @@ def audit_kernel(k_max: int, n_max: int, cache: KernelCache | None = None) -> Au
                 ok = row[0] <= tighter
             report.record(ok, {
                 "check": "log_bound", "k": k, "n": n,
-                "entry": fracstr(row[0]), "bound": fracstr(bound),
+                "entry": row[0], "bound": bound,
             })
 
     # lower bounds for tail segments, deduplicated: for a fixed row, every
@@ -229,8 +224,8 @@ def audit_oracle(instances: int = 1000, seed: int = 0, k_max: int = 4,
         rhs = apply_iterate_oracle(k, prefix, n)
         report.record(lhs == rhs, {
             "check": "oracle", "k": k, "n": n, "d": d,
-            "kernel": [fracstr(c) for c in lhs],
-            "oracle": [fracstr(c) for c in rhs],
+            "kernel": lhs,
+            "oracle": rhs,
         })
     return report
 
@@ -263,7 +258,7 @@ def audit_abel(samples: int = 200, seed: int = 0, dimension: int = 2,
                     ok = False
         report.record(ok, {
             "check": "abel", "lam": lam,
-            "coeffs": [fracstr(c) for c in coeffs],
+            "coeffs": coeffs,
         })
     return report
 
@@ -272,8 +267,6 @@ def audit_abel(samples: int = 200, seed: int = 0, dimension: int = 2,
 def audit_unit_interval(samples: int = 500, n_max: int = 100, seed: int = 0,
                   cache: KernelCache | None = None) -> AuditReport:
     """Random [0,1] prefixes: [T]_n < 1/8 forces [T^2]_n < 15/16 (plus sub-facts)."""
-    from .construct import unit_interval_check
-
     cache = cache or default_cache()
     rng = random.Random(seed)
     report = AuditReport("prop412", {"samples": samples, "n_max": n_max, "seed": seed})
@@ -295,7 +288,7 @@ def audit_unit_interval(samples: int = 500, n_max: int = 100, seed: int = 0,
                     and frac(sub["tail_mass"]) >= Fraction(1, 8)
                 )
                 report.params["triggered"] += 1
-                report.record(ok, {"check": "prop412", "n": n, "t1": fracstr(t1)})
+                report.record(ok, {"check": "prop412", "n": n, "t1": t1})
             else:
                 report.params["vacuous"] += 1
     return report
@@ -326,7 +319,7 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
     walker = IterateWalker(max(ks, default=1), space.dimension)
     # best[pos][t] is the lexicographic minimum of (metric, index) so far, so
     # a tie keeps the earlier index; rows stay grouped by entry of ks
-    best = [[(1, 0)] * len(targets) for _ in ks]  # every metric is below 1
+    best = [[(Fraction(1), 0)] * len(targets) for _ in ks]  # every metric is below 1
     rows = [[] for _ in ks]
     for run, l, r in pieces(walker, seq.runs, walker.k, marks):
         for pos, k in enumerate(ks):
@@ -337,10 +330,10 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
                 if r in marks:
                     rows[pos].append({
                         "length": r, "k": k, "target_id": t,
-                        "min_metric": fracstr(best[pos][t][0]),
+                        "min_metric": best[pos][t][0],
                         "at_index": best[pos][t][1],
                     })
-    return [row for group in rows for row in group]
+    return render([row for group in rows for row in group])
 
 
 SUITES = {

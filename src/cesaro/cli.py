@@ -25,7 +25,7 @@ from .construct import (
     simultaneous_construct,
 )
 from .errors import BudgetExceededError, CertificationError, CesaroError, CoverageError
-from .exact import decstr, frac, fracstr
+from .exact import decstr, frac, fracstr, render
 from .kernel import DEFAULT_K_MAX, DEFAULT_N_MAX, KernelCache
 from .space import GroundSet, IndexSet, Space, point
 
@@ -200,14 +200,14 @@ def cmd_kernel(args) -> int:
     if args.format == "csv":
         lines = []
         for n, row in enumerate(rows, start=1):
-            lines.append(",".join([str(n)] + [fracstr(e) for e in row]))
+            lines.append(",".join([str(n)] + render(row)))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
             "k": args.k,
-            "rows": {str(n): [fracstr(e) for e in row] for n, row in enumerate(rows, 1)},
+            "rows": dict(enumerate(rows, 1)),
         }
-        text = _json_text(payload)
+        text = _json_text(render(payload))
     if args.out:
         _write_text(args.out, text)
         print(f"wrote {args.out}")
@@ -277,14 +277,14 @@ def _write_trajectory(path, rows, d: int) -> None:
             writer.writerow(row)
 
 
-def _print_summary(trace: dict, space: Space, epsilon) -> None:
+def _print_summary(trace: dict, epsilon) -> None:
     print(f"certified epsilon: {fracstr(frac(epsilon))} ({decstr(frac(epsilon))})")
     print("level  n        metric_distance        seminorm_distances")
     for dist in trace["distances"]:
         semis = " ".join(dist["seminorms"])
         print(
             f"{dist['level']:<6} {trace['final_index']:<8} "
-            f"{dist['metric']} ({decstr(frac(dist['metric']))})  [{semis}]"
+            f"{dist['metric']} ({dist['metric_dec']})  [{semis}]"
         )
 
 
@@ -300,7 +300,7 @@ def _construct_thm42(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
     trace = result.trace
     _write_text(out_dir / "trace.json", _json_text(trace))
     _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
-    _print_summary(trace, space, epsilon)
+    _print_summary(trace, epsilon)
     replay = replay_trace(trace, space, cache)
     print(f"replay matches recorded distances: {replay['matches']}")
     print(f"n = {result.n} (admissible: {index_set.contains(result.n)})")
@@ -324,7 +324,7 @@ def _construct_lemma33(cfg, space, ground, index_set, cache, term_cap, out_dir) 
     _write_text(out_dir / "trace.json", _json_text(trace))
     _write_trajectory(out_dir / "trajectory.csv", _trajectory_rows(trace), space.dimension)
     print(f"n0 = {result.n0}")
-    _print_summary(trace, space, epsilon)
+    _print_summary(trace, epsilon)
     return EXIT_OK
 
 
@@ -342,7 +342,7 @@ def _construct_thm41(cfg, space, ground, index_set, cache, term_cap, out_dir) ->
     _write_trajectory(out_dir / "trajectory.csv", rows, space.dimension)
     print(f"schedule: {result.schedule}")
     for lam, trace in enumerate(result.traces, start=1):
-        _print_summary(trace, space, Fraction(1, lam))
+        _print_summary(trace, Fraction(1, lam))
     return EXIT_OK
 
 
@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failure (bug): {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, CesaroError) as exc:
+    except (ValueError, KeyError, OSError, CesaroError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,7 +24,7 @@ Every inequality the pipeline relies on is re-checked in exact arithmetic at
 run time; a failed check raises instead of producing an uncertified result.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import cycle
 from math import factorial
@@ -36,7 +36,7 @@ from .errors import (
     SchedulingError,
     certify,
 )
-from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr
+from .exact import ZERO, ceil_frac, decstr, floor_frac, frac, fracstr, render
 from .kernel import KernelCache, apply_iterate, default_cache
 # iterate_at is not called here; perfbench's tracer wraps it as construct.iterate_at
 from .sequences import IterateWalker, RunSeq, iterate_at, pieces  # noqa: F401
@@ -60,24 +60,20 @@ from .space import (
 DEFAULT_TERM_CAP = 10**6
 
 
-def _point_json(p):
-    return [fracstr(c) for c in p]
-
-
 def _distance_record(level: int, value: Point, target: Point, space: Space) -> dict:
     """The trace record of [T^level]_n = value against its target x."""
     dist = space.metric(value, target)
-    return {
+    return render({
         "level": level,
-        "target": _point_json(target),
-        "value": _point_json(value),
-        "metric": fracstr(dist),
+        "target": target,
+        "value": value,
+        "metric": dist,
         "metric_dec": decstr(dist),
         "seminorms": [
-            fracstr(space.seminorm(rho, psub(value, target)))
+            space.seminorm(rho, psub(value, target))
             for rho in range(1, space.dimension + 1)
         ],
-    }
+    })
 
 
 def _certified_result(walker: IterateWalker, seq: RunSeq, ks, targets, epsilon,
@@ -93,13 +89,13 @@ def _certified_result(walker: IterateWalker, seq: RunSeq, ks, targets, epsilon,
         if not frac(record["metric"]) < epsilon:
             raise CertificationError(f"final metric distance for level {level} not below epsilon")
         distances.append(record)
-    return {
-        "terms_runs": [[_point_json(p), c] for p, c in seq.runs],
+    return render({
+        "terms_runs": seq.runs,
         "final_index": walker.j,
-        "targets": [_point_json(x) for x in targets],
+        "targets": targets,
         "ks": list(ks),
         "distances": distances,
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +306,21 @@ def single_target_extend(prefix, target: ConvexWitness, epsilon, k: int,
 
     dist_xprime = space.metric(walker.value(k), x_prime)
     result = _certified_result(walker, seq, [k], [x], epsilon, space)
-    trace = {
+    trace = render({
         "schema": 1,
         "kind": "lemma33",
-        "epsilon": fracstr(epsilon),
+        "epsilon": epsilon,
         "k": k,
         "m": m,
         "counts": counts,
-        "atoms": [[fracstr(c), _point_json(p)] for c, p in target.atoms],
-        "x": _point_json(x),
-        "x_prime": _point_json(x_prime),
+        "atoms": target.atoms,
+        "x": x,
+        "x_prime": x_prime,
         "n0": n0,
-        "metric_to_x_prime": fracstr(dist_xprime),
+        "metric_to_x_prime": dist_xprime,
         "metric_to_x": result["distances"][0]["metric"],
         **result,
-    }
+    })
     return ExtendResult(seq=seq, new_terms=new_terms, n0=n0, trace=trace)
 
 
@@ -503,24 +499,7 @@ class StageRecord:
     block_seminorm_max: dict       # rho -> max over in-block indices
 
     def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "level": self.level,
-            "start": self.start,
-            "end": self.end,
-            "phi": fracstr(self.phi),
-            "s_value": _point_json(self.s_value),
-            "x_target": _point_json(self.x_target),
-            "x_prime": _point_json(self.x_prime),
-            "atom_points": [_point_json(p) for p in self.atom_points],
-            "g": [fracstr(g) for g in self.g],
-            "rounds": self.rounds,
-            "assignment_runs": [list(r) for r in self.assignment_runs],
-            "round_gammas": [[fracstr(g) for g in snap] for snap in self.round_gammas],
-            "final_residuals": [fracstr(r) for r in self.final_residuals],
-            "endpoint_value": _point_json(self.endpoint_value),
-            "block_seminorm_max": {str(r): fracstr(v) for r, v in self.block_seminorm_max.items()},
-        }
+        return render({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _block_seminorm_max(walker: IterateWalker, runs, level: int, rhos, space: Space):
@@ -528,16 +507,15 @@ def _block_seminorm_max(walker: IterateWalker, runs, level: int, rhos, space: Sp
 
     The maximum of |[T^level]_j|_rho runs over every index j of the block.
     Each coordinate is monotone on a piece, so it peaks at an end: r, or on
-    a run's first piece, whose l is the index before the run, l + 1.
+    the block's first piece, whose l is the block's start, l + 1.
     """
     block_max = {rho: ZERO for rho in rhos}
     for run, l, r in pieces(walker, runs, level):
-        for j in sorted({l + 1, r} if l == run.a else {r}):
+        for j in sorted({l + 1, r} if l == walker.j else {r}):
             value = run.at(j).value(level)
             for rho in rhos:
                 block_max[rho] = max(block_max[rho], space.seminorm(rho, value))
-        walker = run.at(r)
-    return block_max, walker
+    return block_max, run.at(r)
 
 
 def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
@@ -849,25 +827,25 @@ def simultaneous_construct(prefix, targets, epsilon, index_set: IndexSet,
         raise CertificationError("final index left the admissible set")
     walker = IterateWalker(k, space.dimension)
     walker.push_seq(seq)
-    trace = {
+    trace = render({
         "schema": 1,
         "kind": "thm42",
-        "epsilon": fracstr(epsilon),
+        "epsilon": epsilon,
         "k": k,
         "space": {"dimension": space.dimension,
-                  "weights": [fracstr(w) for w in space.weights]},
-        "stabilizer": _point_json(a),
+                  "weights": space.weights},
+        "stabilizer": a,
         "prefix_length": rho0,
         "v1": v1,
         "m0": m0,
         "m_required": m_needed,
         "m": m,
-        "partition": {"v": part.v, "lambdas": list(part.lambdas)},
-        "chain_intervals": [[fracstr(c), fracstr(d)] for c, d in chain.intervals],
+        "partition": {"v": part.v, "lambdas": part.lambdas},
+        "chain_intervals": chain.intervals,
         "chain_sizes": [len(s) for s in chain.sets],
         "stages": [s.to_json() for s in stages],
         **_certified_result(walker, seq, range(1, k + 1), targets, epsilon, space),
-    }
+    })
     return SimultaneousResult(n=n, seq=seq, new_terms_start=rho0, trace=trace)
 
 
@@ -930,16 +908,16 @@ def unit_interval_check(values, n: int, cache: KernelCache | None = None) -> dic
     for x in vals[:n]:
         walker.push((x,))
     t1 = walker.value(1)[0]
-    report = {"n": n, "t1": fracstr(t1), "triggered": bool(t1 < Fraction(1, 8))}
+    report = {"n": n, "t1": t1, "triggered": bool(t1 < Fraction(1, 8))}
     if not report["triggered"]:
-        return report
+        return render(report)
     t2 = walker.value(2)[0]
     small = sum(1 for x in vals[:n] if x < Fraction(1, 4))
     tail = sum(cache.row_tail(2, n, n // 2 + 1), ZERO)
     report.update({
-        "t2": fracstr(t2),
+        "t2": t2,
         "small_count": small,
-        "tail_mass": fracstr(tail),
+        "tail_mass": tail,
     })
     if not t2 < Fraction(15, 16):
         raise CertificationError(f"[T^2]_{n} = {t2} breaches 15/16")
@@ -947,7 +925,7 @@ def unit_interval_check(values, n: int, cache: KernelCache | None = None) -> dic
         raise CertificationError("fewer than half the terms are below 1/4")
     if not tail >= Fraction(1, 8):
         raise CertificationError("upper-half kernel mass fell below 1/8")
-    return report
+    return render(report)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational helpers: parsing, formatting, ceilings, certified log bounds.
+"""Exact rational helpers: parsing, writing records, ceilings, certified log bounds.
 
 Every quantity in this package is a ``fractions.Fraction``; floats appear only
 in display output.  Intermediate values can carry integers with tens of
@@ -34,6 +34,21 @@ def frac(value) -> Fraction:
 def fracstr(value: Fraction) -> str:
     """Canonical exact rendering, e.g. '11/18', '-3', '0'."""
     return str(Fraction(value))
+
+
+def render(value):
+    """The written form of an exact record, the one every output file holds.
+
+    A Fraction becomes its ``fracstr``, a tuple or list a list, a dict a dict
+    with string keys; anything else (ints, strings, booleans, None) stays.
+    """
+    if isinstance(value, Fraction):
+        return fracstr(value)
+    if isinstance(value, (tuple, list)):
+        return [render(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): render(v) for k, v in value.items()}
+    return value
 
 
 def decstr(value: Fraction, digits: int = 15) -> str:

@@ -16,9 +16,10 @@ from cesaro import (
     dense_example,
     take_prefix,
 )
-from cesaro.exact import frac
+from cesaro import audit as audit_mod
+from cesaro.exact import frac, render
 from cesaro.sequences import RunSeq, iterate_at
-from cesaro.space import Space, point
+from cesaro.space import Space, point, pscale
 from reference import density_reference
 
 F = Fraction
@@ -113,6 +114,54 @@ def test_report_serialization_roundtrip():
     report.wall_time_ms = 12.5
     assert "wall_time_ms" not in report.to_json()
     assert report.to_json(include_timing=True)["wall_time_ms"] == 12.5
+
+
+def test_render_writes_exact_records():
+    raw = {1: (F(1, 2), [F(-3), 3]), "t": ((F(0),), {2: None}), "ok": True}
+    assert render(raw) == {"1": ["1/2", ["-3", 3]], "t": [["0"], {"2": None}], "ok": True}
+    assert render(3) == 3 and render(F(3)) == "3"
+    assert render(True) is True and render(None) is None
+
+
+# Each suite whose counterexamples hold exact values, forced to fail once:
+# the stored detail is pinned whole, in its written form.
+
+def test_oracle_counterexample_written(monkeypatch):
+    original = audit_mod.apply_iterate_oracle
+    monkeypatch.setattr(audit_mod, "apply_iterate_oracle",
+                        lambda *args: tuple(c + 1 for c in original(*args)))
+    report = audit_oracle(1, seed=5, k_max=2, n_max=3, d_max=2, cache=KernelCache())
+    assert report.counterexamples == [{
+        "check": "oracle", "k": 2, "n": 3, "d": 2,
+        "kernel": ["997/864", "355/3024"], "oracle": ["1861/864", "3379/3024"],
+    }]
+
+
+def test_kernel_log_bound_counterexample_written(monkeypatch):
+    monkeypatch.setattr(audit_mod, "iterate_entry_bound", lambda k, n, log_n: F(1, 2 * n))
+    report = audit_kernel(1, 2, KernelCache())
+    assert report.failed == 2
+    assert report.counterexamples == [
+        {"check": "log_bound", "k": 1, "n": 1, "entry": "1", "bound": "1/2"},
+        {"check": "log_bound", "k": 1, "n": 2, "entry": "1/2", "bound": "1/4"},
+    ]
+
+
+def test_abel_counterexample_written(monkeypatch):
+    monkeypatch.setattr(audit_mod, "pscale", lambda c, p: pscale(100 * c, p))
+    report = audit_abel(1, seed=5, dimension=1, lam_max=4)
+    assert report.counterexamples == [
+        {"check": "abel", "lam": 3, "coeffs": ["15/8", "23/16", "1/8"]},
+    ]
+
+
+def test_prop412_counterexample_written(monkeypatch):
+    monkeypatch.setattr(audit_mod, "frac", lambda value: F(1))  # every [T^2]_n reads 1
+    report = audit_unit_interval(1, n_max=8, seed=15, cache=KernelCache())
+    assert report.counterexamples == [
+        {"check": "prop412", "n": 1, "t1": "1/64"},
+        {"check": "prop412", "n": 2, "t1": "5/128"},
+    ]
 
 
 def test_density_constant_prefix():

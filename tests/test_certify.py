@@ -136,3 +136,13 @@ def test_replay_kernel_row_second_opinion(monkeypatch):
                         lambda *args: tuple(c + F(1, 10**9) for c in original(*args)))
     with pytest.raises(CertificationError, match="kernel-row replay disagrees"):
         replay_trace(trace, line, KernelCache(6, 400))
+
+
+def test_final_distance_at_epsilon_is_not_certified(monkeypatch):
+    # the claim is d < epsilon: a final record whose metric equals epsilon fails it
+    original = construct._distance_record
+    monkeypatch.setattr(construct, "_distance_record",
+                        lambda *args: {**original(*args), "metric": "1/10"})
+    witness = ConvexWitness(((F(1, 2), (F(0),)), (F(1, 2), (F(1),))))
+    with pytest.raises(CertificationError, match="not below epsilon"):
+        single_target_extend([], witness, F(1, 10), 2, Space(1), GroundSet.lattice(1))

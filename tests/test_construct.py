@@ -253,6 +253,15 @@ def test_first_hit_matches_per_index_scan():
     assert found.count(None) < len(found) // 2
 
 
+def test_first_hit_is_strict_at_tol():
+    # after a term 2, zeros give [T]_j = 2/j at metric 1/(j + 2): tol = 1/5 is
+    # attained at j = 3, which is not a hit, so the first hit is j = 4
+    walker = IterateWalker(1, 1)
+    walker.push((F(2),))
+    j, state = _first_hit(walker, [((F(0),), 10)], [1], (F(0),), F(1, 5), Space(1))
+    assert (j, state.j) == (4, 4)
+
+
 # --- chains and partitions ---------------------------------------------------
 
 def test_build_covering_chain_intervals(line, lattice1):
@@ -323,7 +332,7 @@ def test_choose_partition_deterministic_and_in_interval(line, lattice1):
 
 # --- round-robin assignment, hand-built two-level chain ----------------------
 
-def test_assign_two_levels(line, lattice1, cache):
+def test_assign_two_levels(line, lattice1, cache, monkeypatch):
     eps = F(3, 10)
     v, lam1, lam2 = 2100, 420, 280
     part = Partition(v=v, lambdas=(lam1, lam2))
@@ -345,7 +354,14 @@ def test_assign_two_levels(line, lattice1, cache):
     )
 
     seq = RunSeq([((F(0),), v)])
+    # the in-block maxima read each block's first index once, then only the
+    # piece ends: the walker states they make guard that (38 when this was written)
+    copies = []
+    original = IterateWalker.copy
+    monkeypatch.setattr(IterateWalker, "copy", lambda self: copies.append(self.j) or original(self))
     stages, seq = assign_block_terms(seq, chain, part, [x1, x2], eps, line, cache)
+    monkeypatch.undo()
+    assert len(copies) <= 38
 
     assert len(seq) == part.m
     assert [s.level for s in stages] == [2, 1]
