@@ -334,11 +334,3 @@ def audit_density(prefix, targets, ks, space: Space, checkpoints=None) -> list:
                         "at_index": best[pos][t][1],
                     })
     return render([row for group in rows for row in group])
-
-
-SUITES = {
-    "kernel": audit_kernel,
-    "oracle": audit_oracle,
-    "abel": audit_abel,
-    "prop412": audit_unit_interval,
-}

@@ -338,6 +338,9 @@ class CoveringChain:
     k: int
 
     def __post_init__(self):
+        if len(self.intervals) != self.k or len(self.sets) != self.k + 1:
+            raise ValueError(f"a chain with k={self.k} needs k+1 sets and k intervals, "
+                             f"got {len(self.sets)} and {len(self.intervals)}")
         for lo, hi in zip(self.sets, self.sets[1:]):
             if not lo.issubset(hi):
                 raise ValueError("chain sets must be nested")
@@ -435,7 +438,7 @@ def partition_min_m(chain: CoveringChain, v1: int, space: Space) -> tuple[int, i
     c_k, d_k = chain.intervals[-1]
     top = chain.sets[-1]
     count = len(top)
-    norm = max(top.norm(rho, space) for rho in space.important_rhos(chain.epsilon / 3))
+    norm = top.norm_max(chain.epsilon / 3, space)
     m0 = max(
         floor_frac(Fraction(2) / (d_k - c_k)) + 1,
         2 * v1 + 1,
@@ -602,8 +605,6 @@ def assign_block_terms(seq: RunSeq, chain: CoveringChain, part: Partition,
         rounds = 1
         for rho in rhos:
             norm = M_i.norm(rho, space)
-            if norm == 0:
-                continue
             slackr = Fraction(1, 3) - 2 * mu * norm / Fraction(part.v)
             if slackr <= 0:
                 raise SchedulingError(

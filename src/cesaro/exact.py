@@ -79,8 +79,6 @@ def _atanh_upper(x: Fraction, err: Fraction) -> Fraction:
     Truncated odd series plus a geometric remainder cap; the remainder of
     sum x^(2j+1)/(2j+1) past term J is < x^(2J+3)/(2J+3) * 1/(1-x^2) <= (9/8) x^(2J+3).
     """
-    if x == 0:
-        return ZERO
     total = ZERO
     term_exp = 1
     xx = x * x
@@ -102,8 +100,6 @@ def log_upper(n: int, err: Fraction = Fraction(1, 10**12)) -> Fraction:
     """
     if n < 1:
         raise ValueError("log_upper needs n >= 1")
-    if n == 1:
-        return ZERO
     s = n.bit_length() - 1
     r = Fraction(n, 1 << s)  # in [1, 2)
     # budget: s * (ln2 slack) + (ln r slack) <= err

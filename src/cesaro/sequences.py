@@ -3,14 +3,16 @@
 Constructions routinely pad with one repeated element for hundreds of
 thousands of indices; runs keep that cheap.  Iterate values come from one
 object, ``IterateWalker``: a level-k walker holds [T^c]_j for every c <= k
-at its cursor j, so one walk serves every level.  ``push`` advances one
-index by the running-averages recurrence; ``push_run`` absorbs a whole run
-of one point at every level in one closed-form update, whose weights are
-the complete homogeneous symmetric polynomials of 1/(a+1), ..., 1/b
-computed by binary splitting.  ``IterateWalker.push_seq`` is the one loop
-that walks a sequence's runs up to an index; ``iterate_at`` and the
-constructions all go through it, and ``copy`` branches a walker (for
-instance to pad it with zeros) without walking the prefix again.
+at its cursor j, and nothing else, so one walk serves every level.  ``push``
+advances one index on the values alone,
+[T^c]_(j+1) = (j*[T^c]_j + [T^(c-1)]_(j+1)) / (j+1) with T^0 the sequence;
+``push_run`` absorbs a whole run of one point at every level in one
+closed-form update, whose weights are the complete homogeneous symmetric
+polynomials of 1/(a+1), ..., 1/b computed by binary splitting.
+``IterateWalker.push_seq`` is the one loop that walks a sequence's runs up
+to an index; ``iterate_at`` and the constructions all go through it, and
+``copy`` branches a walker (for instance to pad it with zeros) without
+walking the prefix again.
 
 ``pieces`` is the one walk for readers that need an extremum or a first hit
 over runs (in-block maxima, density minima, and the first hits of lemma
@@ -27,7 +29,7 @@ needs no interior cut.
 from fractions import Fraction
 from math import lcm
 
-from .space import Point, padd, pscale, pzero
+from .space import Point, pzero
 
 
 class RunSeq:
@@ -60,17 +62,6 @@ class RunSeq:
         for p, c in self.runs:
             for _ in range(c):
                 yield p
-
-    def point_at(self, index: int) -> Point:
-        """1-based lookup."""
-        if not (1 <= index <= self.length):
-            raise IndexError(index)
-        seen = 0
-        for p, c in self.runs:
-            seen += c
-            if index <= seen:
-                return p
-        raise IndexError(index)  # unreachable
 
     def copy(self) -> "RunSeq":
         return RunSeq((p, c) for p, c in self.runs)
@@ -131,17 +122,16 @@ class IterateWalker:
         self.k = k
         self.d = dimension
         self.j = 0
-        self.sums = [pzero(dimension) for _ in range(k)]
         self.values = [pzero(dimension) for _ in range(k)]
 
     def push(self, p: Point) -> None:
-        weight = Fraction(1, self.j + 1)
-        acc = p
+        j = self.j
+        acc = p  # [T^(c-1)]_(j+1), with T^0 the sequence itself
         for c in range(self.k):
-            self.sums[c] = padd(self.sums[c], acc)
-            acc = pscale(weight, self.sums[c])
+            # strict: a point of the wrong dimension fails before any level changes
+            acc = tuple((v * j + x) / (j + 1) for v, x in zip(self.values[c], acc, strict=True))
             self.values[c] = acc
-        self.j += 1
+        self.j = j + 1
 
     def push_run(self, p: Point, count: int) -> None:
         """Push ``count`` copies of p, equal to ``count`` calls of ``push(p)``.
@@ -165,7 +155,6 @@ class IterateWalker:
         self.j = b
         if a == 0:
             self.values = [p] * self.k
-            self.sums = [pscale(b, p)] * self.k
             return
         weights, q = _run_weights(a, b, self.k)
         q_pow = [q ** c for c in range(self.k)]
@@ -185,7 +174,6 @@ class IterateWalker:
                 column.append(Fraction(pn * scale + a * total, pd * scale))
             columns.append(column)
         self.values = [tuple(col[c] for col in columns) for c in range(self.k)]
-        self.sums = [pscale(b, v) for v in self.values]
 
     def push_seq(self, seq: RunSeq, upto: int | None = None) -> None:
         """Push terms j+1..upto of seq (default: to its end) from the cursor j.
@@ -208,7 +196,6 @@ class IterateWalker:
     def copy(self) -> "IterateWalker":
         twin = IterateWalker(self.k, self.d)
         twin.j = self.j
-        twin.sums = list(self.sums)
         twin.values = list(self.values)
         return twin
 

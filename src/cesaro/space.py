@@ -236,16 +236,6 @@ class GroundSet:
         origin = pzero(self.dimension)
         return min(self.points, key=lambda p: (space.metric(p, origin), p))
 
-    def enumerate_box(self, bound) -> list:
-        """All ground points with every |coordinate| <= bound (deterministic order)."""
-        bound = frac(bound)
-        if self.kind == "explicit":
-            return [p for p in self.points if all(abs(c) <= bound for c in p)]
-        q = self.scale
-        top = (bound * q).numerator // (bound * q).denominator
-        axis = [Fraction(i, 1) / q for i in range(-top, top + 1)]
-        return [tuple(c) for c in product(axis, repeat=self.dimension)]
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -295,8 +285,6 @@ def _residual_caps(space: Space, slack: Fraction) -> list:
     With |r|_i <= U := slack/(1-slack) every metric summand is at most
     2^-i U/(1+U), so the total stays strictly below slack (or equals 0).
     """
-    if slack == 0:
-        return [ZERO] * space.dimension
     u = slack / (1 - slack)
     return [u / w for w in space.weights]
 

@@ -90,6 +90,19 @@ MUTANTS = [
            "while gammas[j] <= quota:",
            "while gammas[j] < quota:",
            ("tests/test_cli.py::test_construct_output_bytes_pinned",)),
+    # caller input and scheduling limits, rejected before any certified claim
+    Mutant("push-dimension-unchecked", "sequences.py",
+           "zip(self.values[c], acc, strict=True)",
+           "zip(self.values[c], acc)",
+           ("tests/test_sequences.py::test_mixed_dimensions_rejected",)),
+    Mutant("chain-k-unchecked", "construct.py",
+           "if len(self.intervals) != self.k or len(self.sets) != self.k + 1:",
+           "if False:",
+           ("tests/test_construct.py::test_chain_k_must_match_sets_and_intervals",)),
+    Mutant("round-bound-weakened", "construct.py",
+           "if slackr <= 0:",
+           "if slackr < -1:",
+           ("tests/test_construct.py::test_assign_stabilizer_too_short_for_round_bound",)),
     # the piece walk, the box bound and the run weights
     Mutant("pieces-release-past-r", "sequences.py",
            "run.release(r)",

@@ -4,11 +4,15 @@
     python tests/sweep.py --rounds 20
 
 Each round draws, from its own seed, first-hit problems, lemma 3.3
-extensions with caps short of n0, stabilizations with caps, block maxima
-and density audits.  Every output is compared with the per-index
-reference of ``reference.py``: first hits and their end states, n0 with
-the appended terms, v1, the cap-exit details, block maxima and density
-rows; lemma 3.3's whole trace goes into the hash.  Rounds run until the time is spent (or ``--rounds`` is reached).
+extensions with caps short of n0, stabilizations with caps, block maxima,
+density audits and k = 1 Theorem 4.2 constructions.  Every output is
+compared with the per-index reference of ``reference.py``: first hits and
+their end states, n0 with the appended terms, v1, the cap-exit details,
+block maxima and density rows; lemma 3.3's and Theorem 4.2's whole traces
+go into the hash, and each Theorem 4.2 trace must replay.  Once per run,
+before the rounds, the criterion-6 plan's exit details are compared with
+its level-1 length in closed form.  Rounds run until the time is spent (or
+``--rounds`` is reached).
 The last line gives the rounds run, the mismatches, the walker states made
 (``IterateWalker.copy`` calls, references excluded) and one SHA-256 over
 every output, so two trees can be compared by running the same number of
@@ -29,11 +33,20 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from cesaro import BudgetExceededError, ConvexWitness, audit_density, single_target_extend  # noqa: E402
+from cesaro import (  # noqa: E402
+    BudgetExceededError,
+    ConvexWitness,
+    KernelCache,
+    audit_density,
+    replay_trace,
+    run_target_plan,
+    simultaneous_construct,
+    single_target_extend,
+)
 from cesaro.construct import _block_seminorm_max, _first_hit, _stabilize  # noqa: E402
 from cesaro.exact import fracstr  # noqa: E402
 from cesaro.sequences import IterateWalker, RunSeq, iterate_at  # noqa: E402
-from cesaro.space import GroundSet, Space, point  # noqa: E402
+from cesaro.space import GroundSet, IndexSet, Space, delta, point  # noqa: E402
 from reference import (  # noqa: E402
     block_max_reference,
     density_reference,
@@ -172,8 +185,53 @@ def density_problem(rng):
             _uncounted(density_reference)(seq, targets, ks, space, checkpoints))
 
 
+def thm42_problem(rng):
+    d = rng.randint(1, 2)
+    space, ground = Space(d), GroundSet.lattice(d)
+    prefix = [tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(rng.randint(0, 3))]
+    target = tuple(F(rng.randint(-4, 4), 2) for _ in range(d))
+    eps = rng.choice([F(1, 4), F(3, 10)])
+    res = simultaneous_construct(prefix, [target], eps, IndexSet("all"), space, ground,
+                                 KernelCache())
+    return ([res.trace, replay_trace(res.trace, space, KernelCache())["matches"]],
+            [res.trace, True])
+
+
+PLAN = [[(F(1),)], [(F(-1),), (F(2),)]]  # the criterion-6 plan of test_acceptance.py
+
+
+def criterion6_exit():
+    """The plan's exit details, and the level-1 length they should report.
+
+    Entry 2 stabilizes entry 1's sequence (length L, sum S) with the term 0,
+    so level 1 at n >= L is S/n, whose metric to 0 falls as n grows; the
+    first n within the stabilization tolerance is found by bisection.
+    """
+    space, ground, fives = Space(1), GroundSet.lattice(1), IndexSet("progression", 5, 5)
+    try:
+        run_target_plan(PLAN, fives, space, ground, KernelCache())
+        got = None
+    except BudgetExceededError as exc:
+        got = exc.details
+    eps = F(49, 100)  # min(1/lambda, 49/100) at both entries
+    seq = simultaneous_construct([], PLAN[0], eps, fives, space, ground, KernelCache()).seq
+    total = sum(p[0] * count for p, count in seq.runs)
+    tol = delta(eps / 6) / (4 * len(PLAN[1]))
+
+    def within(n):
+        return space.metric((total / n,), (F(0),)) < tol
+
+    lo, hi = len(seq) - 1, len(seq)  # lo is never within: it precedes the sequence's end
+    while not within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if within(mid) else (mid, hi)
+    return got, {"phase": "stabilization", "required_v1_at_level1": hi, "term_cap": 10**6}
+
+
 KINDS = [(first_hit_problem, 6), (lemma33_problem, 3), (stabilize_problem, 2),
-         (block_max_problem, 4), (density_problem, 1)]
+         (block_max_problem, 4), (density_problem, 1), (thm42_problem, 2)]
 
 
 def main(argv=None) -> int:
@@ -185,19 +243,24 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     start = time.perf_counter()
     rounds = problems = mismatches = 0
+
+    def compare(name, got, want):
+        nonlocal problems, mismatches
+        text = json.dumps(got, sort_keys=True, default=str)
+        digest.update(text.encode())
+        problems += 1
+        if got != want:
+            mismatches += 1
+            print(f"MISMATCH round {rounds} {name}:\n  got  {text[:300]}\n"
+                  f"  want {json.dumps(want, sort_keys=True, default=str)[:300]}")
+
+    compare("criterion6_exit", *criterion6_exit())
     while (args.rounds is None and time.perf_counter() - start < args.seconds) or \
             (args.rounds is not None and rounds < args.rounds):
         rng = random.Random(f"sweep/{rounds}")
         for make, count in KINDS:
             for _ in range(count):
-                got, want = make(rng)
-                text = json.dumps(got, sort_keys=True, default=str)
-                digest.update(text.encode())
-                problems += 1
-                if got != want:
-                    mismatches += 1
-                    print(f"MISMATCH round {rounds} {make.__name__}:\n  got  {text[:300]}\n"
-                          f"  want {json.dumps(want, sort_keys=True, default=str)[:300]}")
+                compare(make.__name__, *make(rng))
         rounds += 1
     print(f"rounds {rounds} problems {problems} mismatches {mismatches} states {STATES[0]} "
           f"seconds {time.perf_counter() - start:.1f} sha256 {digest.hexdigest()}")

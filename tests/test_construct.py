@@ -14,6 +14,7 @@ from cesaro import (
     CoverageError,
     CoveringChain,
     Partition,
+    SchedulingError,
     apply_iterate,
     build_covering_chain,
     choose_partition,
@@ -69,9 +70,7 @@ def test_dense_example_validation():
 def test_take_prefix_block_structure():
     seq = take_prefix(dense_example([point(0), point(1), point(2)], lambda n: 4**n), 30)
     assert len(seq) == 30
-    assert seq.point_at(1) == (0,)
-    assert all(seq.point_at(i) == (1,) for i in range(2, 18))
-    assert all(seq.point_at(i) == (2,) for i in range(18, 31))
+    assert seq.runs == [[(0,), 1], [(1,), 16], [(2,), 13]]
 
 
 # --- single-target extension ---------------------------------------------------
@@ -330,28 +329,48 @@ def test_choose_partition_deterministic_and_in_interval(line, lattice1):
         assert c_i <= gamma <= d_i
 
 
+def test_chain_k_must_match_sets_and_intervals():
+    M0 = FinitePointSet((point(-1), point(1)), corner_radius=F(1))
+    M1 = FinitePointSet((point(-2), point(2)), corner_radius=F(2)).union(M0)
+    M2 = FinitePointSet((point(-3), point(3)), corner_radius=F(3)).union(M1)
+    one, two = (F(1, 100), F(2, 100)), (F(1, 250), F(2, 250))
+    CoveringChain(sets=(M0, M1), intervals=(one,), epsilon=F(3, 10), k=1)
+    with pytest.raises(ValueError, match="k=2 needs"):  # k above the sets and intervals
+        CoveringChain(sets=(M0, M1), intervals=(one,), epsilon=F(3, 10), k=2)
+    with pytest.raises(ValueError, match="k=1 needs"):  # k below them
+        CoveringChain(sets=(M0, M1, M2), intervals=(one, two), epsilon=F(3, 10), k=1)
+    with pytest.raises(ValueError, match="k=2 needs"):  # sets and intervals disagree
+        CoveringChain(sets=(M0, M1), intervals=(one, two), epsilon=F(3, 10), k=2)
+
+
 # --- round-robin assignment, hand-built two-level chain ----------------------
+
+def two_level_chain(part, x1, x2, eps, line, lattice1, cache):
+    """M^0 = {-1, 1} and cube corners M^1, M^2 wide enough for the targets, sized by phi."""
+    lam1, lam2 = part.lambdas
+    M0 = FinitePointSet((point(-1), point(1)), corner_radius=F(1))
+    phi1 = phi(part.v, [lam1, lam2], 1, cache)
+    r1 = ceil_frac((abs(x2[0]) + delta(eps / 6)) / phi1) + 1
+    M1 = cube_corners(lattice1, r1, line).union(M0)
+    phi2 = phi(part.v, [lam1, lam2], 2, cache)
+    worst_s2 = F(lam1 * r1, part.m)
+    r2 = ceil_frac((abs(x1[0]) + worst_s2 + delta(eps / 6)) / phi2) + 1
+    M2 = cube_corners(lattice1, r2, line).union(M1)
+    return CoveringChain(
+        sets=(M0, M1, M2),
+        intervals=((F(1, 100), F(2, 100)), (F(1, 250), F(2, 250))),
+        epsilon=eps, k=2,
+    )
+
 
 def test_assign_two_levels(line, lattice1, cache, monkeypatch):
     eps = F(3, 10)
     v, lam1, lam2 = 2100, 420, 280
     part = Partition(v=v, lambdas=(lam1, lam2))
     x1, x2 = (F(1, 4),), (F(1, 8),)   # level-1 and level-2 targets
-
-    M0 = FinitePointSet((point(-1), point(1)), corner_radius=F(1))
-    phi1 = phi(v, [lam1, lam2], 1, cache)
-    r1 = ceil_frac((abs(x2[0]) + delta(eps / 6)) / phi1) + 1
-    M1 = cube_corners(lattice1, r1, line).union(M0)
-    phi2 = phi(v, [lam1, lam2], 2, cache)
-    assert phi2 == F(lam2, part.m)
-    worst_s2 = F(lam1 * r1, part.m)
-    r2 = ceil_frac((abs(x1[0]) + worst_s2 + delta(eps / 6)) / phi2) + 1
-    M2 = cube_corners(lattice1, r2, line).union(M1)
-    chain = CoveringChain(
-        sets=(M0, M1, M2),
-        intervals=((F(1, 100), F(2, 100)), (F(1, 250), F(2, 250))),
-        epsilon=eps, k=2,
-    )
+    assert phi(v, [lam1, lam2], 2, cache) == F(lam2, part.m)
+    chain = two_level_chain(part, x1, x2, eps, line, lattice1, cache)
+    M0, M1, M2 = chain.sets
 
     seq = RunSeq([((F(0),), v)])
     # the in-block maxima read each block's first index once, then only the
@@ -380,6 +399,20 @@ def test_assign_two_levels(line, lattice1, cache, monkeypatch):
     terms = list(seq.iter_points())
     assert all(t in M1 for t in terms[v:v + lam1])
     assert all(t in M2 for t in terms[v + lam1:])
+
+
+def test_assign_stabilizer_too_short_for_round_bound(line, lattice1, cache):
+    # at v = 300 a level-2 target of 3/16 needs M^2 so wide that 2 mu |M^2| / v
+    # leaves no room below 1/3 for any number of rounds
+    eps = F(3, 10)
+    part = Partition(v=300, lambdas=(60, 40))
+    x1, x2 = (F(1, 4),), (F(3, 16),)
+    chain = two_level_chain(part, x1, x2, eps, line, lattice1, cache)
+    with pytest.raises(SchedulingError) as caught:
+        assign_block_terms(RunSeq([((F(0),), part.v)]), chain, part, [x1, x2], eps, line, cache)
+    assert caught.value.stage == 2
+    assert str(caught.value) == "stage 2: stabilizer too short for the round bound"
+    assert caught.value.state == {"rho": 1, "norm": "25"}
 
 
 @st.composite

@@ -209,8 +209,6 @@ def test_ground_set_lattice():
     assert not g.contains(point("1/3"))
     assert g.ceil_value("5/4") == Fraction(3, 2)
     assert g.nearest_to_zero(Space(1)) == (0,)
-    box = g.enumerate_box(1)
-    assert (Fraction(1, 2),) in box and (Fraction(-1),) in box
 
 
 def test_ground_set_explicit():
